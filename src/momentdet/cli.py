@@ -22,9 +22,7 @@ from . import criteria, decision, verify as verify_mod
 from .criteria import LogMomentSequence
 from .distributions import (
     DGG,
-    GG,
     IG,
-    STIELTJES,
     DistributionSpec,
     ProductSpec,
     chi_square,
@@ -35,7 +33,6 @@ from .distributions import (
     log_density,
     log_moment,
     std_normal,
-    support_class,
 )
 
 EXIT_MDET = 0
@@ -72,15 +69,6 @@ def _parse_factor(obj: dict, where: str) -> DistributionSpec:
         v = obj.get(name, default)
         if v is None:
             raise SpecError(f"{where}.{name}: missing for family {family!r}")
-        return v
-
-    def positive(name, v):
-        try:
-            if tag in ("gg", "dgg") and name in ("alpha", "beta", "gamma"):
-                return v  # rationals like "1/3" stay exact
-            f = float(v)
-        except (TypeError, ValueError):
-            raise SpecError(f"{where}.{name}: not a number: {v!r}") from None
         return v
 
     try:
@@ -215,16 +203,13 @@ def _criterion_report(args, product: Optional[ProductSpec], overrides: dict):
         schedule = overrides.get("schedule")
         if args.counterexample:
             cd = verify_mod.build_counterexample(args.counterexample, args.delta)
-            case = STIELTJES if args.counterexample == verify_mod.STIELTJES_CASE \
-                else criteria.HAMBURGER
-            return criteria.krein_quantity(cd.log_density, case,
+            return criteria.krein_quantity(cd.log_density, cd.support,
                                            schedule=schedule, x0=cfg.x0)
         if len(product.factors) != 1:
             raise SpecError("the krein criterion needs a single-factor spec "
                             "(no closed-form product density)")
         d = product.factors[0]
-        case = STIELTJES if d.support == STIELTJES else criteria.HAMBURGER
-        return criteria.krein_quantity(lambda x: log_density(d, x), case,
+        return criteria.krein_quantity(lambda x: log_density(d, x), d.support,
                                        schedule=schedule, x0=cfg.x0)
     if name == "lin":
         if len(product.factors) != 1:
@@ -272,11 +257,10 @@ def cmd_verify(args) -> int:
 
     oracle_rows = []
     for i, d in enumerate(product.factors):
-        support = verify_mod.REAL_LINE if d.family == DGG else verify_mod.POSITIVE_HALF_LINE
         step = 2 if d.family == DGG else 1
         worst = 0.0
         for k in range(step, 13, step):
-            q = verify_mod.quadrature_log_moment(lambda x: log_density(d, x), support, k)
+            q = verify_mod.quadrature_log_moment(lambda x: log_density(d, x), d.support, k)
             rel = abs(np.expm1(q - log_moment(d, k)))
             worst = max(worst, rel)
         ok = worst < 1e-8

@@ -12,8 +12,8 @@ the evidence for inspection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,7 +23,6 @@ from .distributions import (
     DGG,
     DistributionSpec,
     HAMBURGER,
-    MIXED,
     ProductSpec,
     STIELTJES,
     lin_L,
@@ -241,12 +240,32 @@ def ratio_rate(s: LogMomentSequence) -> CriterionReport:
 # Hardy / Cramer moment bounds
 
 
-def _bound_trend(orders: np.ndarray, scores: np.ndarray, K: int) -> tuple[float, float]:
+def _bound_check(criterion: str, orders: np.ndarray, scores: np.ndarray, K: int,
+                 boundary_note: str) -> CriterionReport:
+    """Score a c0^k (2k)! moment bound by the trend of the tail-window
+    maximum of the per-order scores over a doubling: rising beyond
+    THRESHOLD_BAND fails, at most RISE_TOL holds, in between is inconclusive."""
     cur = _window_mask(orders, K / 2, K)
     prev = _window_mask(orders, K / 4, K / 2)
-    m2 = float(np.max(scores[cur]))
-    m1 = float(np.max(scores[prev]))
-    return m2, m2 - m1
+    sup = float(np.max(scores[cur]))
+    tau = sup - float(np.max(scores[prev]))
+    if tau > THRESHOLD_BAND:
+        status = FAILS
+    elif tau <= RISE_TOL:
+        status = HOLDS
+    else:
+        status = INCONCLUSIVE
+    return CriterionReport(
+        criterion=criterion,
+        status=status,
+        evidence={
+            "c0": math.exp(sup) if status == HOLDS else None,
+            "sup_score": sup,
+            "trend_per_doubling": tau,
+            "k_max": K,
+        },
+        notes=(boundary_note,) if status == INCONCLUSIVE else (),
+    )
 
 
 def hardy_check(s: LogMomentSequence) -> CriterionReport:
@@ -259,30 +278,11 @@ def hardy_check(s: LogMomentSequence) -> CriterionReport:
     if s.parity != PARITY_ALL:
         raise ValueError("hardy_check needs an all-order sequence")
     _require_horizon(s)
-    K = s.k_max
     k = s.orders.astype(float)
     scores = (s.values - gammaln(2.0 * k + 1.0)) / k
-    sup, tau = _bound_trend(s.orders, scores, K)
-    if tau > THRESHOLD_BAND:
-        status = FAILS
-    elif tau <= RISE_TOL:
-        status = HOLDS
-    else:
-        status = INCONCLUSIVE
-    notes = ()
-    if status == INCONCLUSIVE:
-        notes = ("score trend sits in the boundary band; growth is k^(2k) times a slowly varying factor",)
-    return CriterionReport(
-        criterion="hardy",
-        status=status,
-        evidence={
-            "c0": math.exp(sup) if status == HOLDS else None,
-            "sup_score": sup,
-            "trend_per_doubling": tau,
-            "k_max": K,
-        },
-        notes=notes,
-    )
+    return _bound_check("hardy", s.orders, scores, s.k_max,
+                        "score trend sits in the boundary band; growth is k^(2k) "
+                        "times a slowly varying factor")
 
 
 def cramer_check(s: LogMomentSequence) -> CriterionReport:
@@ -292,30 +292,10 @@ def cramer_check(s: LogMomentSequence) -> CriterionReport:
         keep = s.orders % 2 == 0
         s = LogMomentSequence(orders=s.orders[keep], values=s.values[keep],
                               parity=PARITY_EVEN, source=s.source)
-    K = s.k_max
     j = s.orders.astype(float)  # j = 2k
     scores = (s.values - gammaln(j + 1.0)) / (j / 2.0)
-    sup, tau = _bound_trend(s.orders, scores, K)
-    if tau > THRESHOLD_BAND:
-        status = FAILS
-    elif tau <= RISE_TOL:
-        status = HOLDS
-    else:
-        status = INCONCLUSIVE
-    notes = ()
-    if status == INCONCLUSIVE:
-        notes = ("score trend sits in the boundary band",)
-    return CriterionReport(
-        criterion="cramer",
-        status=status,
-        evidence={
-            "c0": math.exp(sup) if status == HOLDS else None,
-            "sup_score": sup,
-            "trend_per_doubling": tau,
-            "k_max": K,
-        },
-        notes=notes,
-    )
+    return _bound_check("cramer", s.orders, scores, s.k_max,
+                        "score trend sits in the boundary band")
 
 
 # ---------------------------------------------------------------------------

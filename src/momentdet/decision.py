@@ -2,13 +2,24 @@
 products, with every side condition verified numerically and a rule-code
 citation trail.
 
+Every verdict follows one pattern.  Each factor has a growth exponent
+(``1/beta`` for GG and DGG, 1 for IG); the exponents of a product add, and
+their sum is compared with the support-class threshold: 2 on the half line
+(Stieltjes), 1 on the real line and for mixed products.  At or below the
+threshold the route's M-det rule applies; above it the route's M-indet rule
+applies once its side conditions are verified.  ``RULES`` maps each route
+(single factor, product, ratio of successive moments) and support class to
+its two rule codes; the ratio route has no M-indet rule.  The comparison is
+exact when every shape parameter is rational; otherwise a float sum within
+``BOUNDARY_BAND`` of the threshold is inconclusive.
+
 Rule codes ("Theorem 5", "Corollary 1", ...) are this tool's rulebook
 identifiers; ``explain`` renders them together with the verified evidence.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,13 +68,16 @@ GROWTH_MARGIN = criteria.THRESHOLD_BAND
 # transient, a wrong one decays without bound
 TAIL_SLOPE_HEADROOM = 10.0
 
+# the indeterminacy side conditions are verified on a geometric grid of
+# GRID_POINTS points from the effective x0 to GRID_SPAN times it
+GRID_POINTS = 60
+GRID_SPAN = 1e3
+
 
 @dataclass(frozen=True)
 class DecisionConfig:
     k_horizon: int = criteria.DEFAULT_K_HORIZON
     x0: float = 1.0
-    grid_points: int = 60
-    grid_span: float = 1e3
 
 
 DEFAULT_CONFIG = DecisionConfig()
@@ -100,7 +114,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# factor exponents
+# factor exponents and the threshold comparison
 
 
 def factor_exponent(d: DistributionSpec) -> float:
@@ -118,21 +132,54 @@ def factor_exponent_exact(d: DistributionSpec) -> Optional[Fraction]:
     return None
 
 
-def _exponent_sum(factors: Sequence[DistributionSpec]) -> tuple[float, Optional[Fraction]]:
-    exacts = [factor_exponent_exact(d) for d in factors]
-    total = math.fsum(factor_exponent(d) for d in factors)
-    if all(e is not None for e in exacts):
-        return total, sum(exacts, Fraction(0))
-    return total, None
-
-
 def _threshold(support: str) -> float:
     return 2.0 if support == STIELTJES else 1.0
 
 
-# ---------------------------------------------------------------------------
-# rule registry
+def _at_or_below(total: float, exact_sum: Optional[Fraction],
+                 threshold: float) -> Optional[bool]:
+    """Is an exponent sum at or below the threshold?  Decided in exact
+    arithmetic when the exact sum is known; a float sum within BOUNDARY_BAND
+    of the threshold gives None."""
+    if exact_sum is not None:
+        return exact_sum <= threshold
+    if abs(total - threshold) <= BOUNDARY_BAND:
+        return None
+    return total < threshold
 
+
+# ---------------------------------------------------------------------------
+# rule table
+
+
+SINGLE, PRODUCT, RATIO = "single", "product", "ratio"
+
+_MIXED_DET = "Theorems 8-9 analogue (mixed case)"
+
+# route -> support class -> (M-det rule, M-indet rule); a None M-indet rule
+# means the route cannot prove indeterminacy
+RULES = {
+    SINGLE: {STIELTJES: ("Theorem 1", "Theorem 2"),
+             HAMBURGER: ("Theorem 3", "Theorem 4")},
+    PRODUCT: {STIELTJES: ("Theorem 5", "Theorem 7"),
+              HAMBURGER: ("Theorem 8", "Theorem 10"),
+              MIXED: (_MIXED_DET, "Theorem 11")},
+    RATIO: {STIELTJES: ("Theorem 6", None),
+            HAMBURGER: ("Theorem 9", None),
+            MIXED: (_MIXED_DET, None)},
+}
+
+_RATIO_NOT_APPLICABLE = "ratio route not applicable"
+
+# route -> (rule, caveat) for a float sum inside the boundary band
+_BOUNDARY = {
+    SINGLE: ("boundary", "exponent within the boundary band of the threshold and no "
+                         "exact rational shape parameter was given"),
+    PRODUCT: ("boundary", "exponent sum within the boundary band of the threshold and "
+                          "not all shape parameters were given as exact rationals"),
+    RATIO: (_RATIO_NOT_APPLICABLE,
+            "rate sum within the tolerance band of 2 without exact rates"),
+}
 
 def _corollary_tags(factors: Sequence[DistributionSpec]) -> list[str]:
     fams = [d.family for d in factors]
@@ -173,8 +220,8 @@ _MIXED_CAVEAT = (
 # side-condition verification for the indeterminacy theorems
 
 
-def _verification_grid(x0: float, cfg: DecisionConfig) -> np.ndarray:
-    return np.geomspace(x0, x0 * cfg.grid_span, cfg.grid_points)
+def _verification_grid(x0: float) -> np.ndarray:
+    return np.geomspace(x0, x0 * GRID_SPAN, GRID_POINTS)
 
 
 def _verify_decreasing(factors: Sequence[DistributionSpec], support: str,
@@ -188,7 +235,7 @@ def _verify_decreasing(factors: Sequence[DistributionSpec], support: str,
     idx, chosen = min(candidates, key=lambda t: decreasing_from(t[1]))
     x_dec = decreasing_from(chosen)
     x0_eff = max(cfg.x0, 1.0, x_dec * (1.0 + 1e-12))
-    grid = _verification_grid(x0_eff, cfg)
+    grid = _verification_grid(x0_eff)
     vals = log_density(chosen, grid)
     monotone = bool(np.all(np.diff(vals) <= 1e-12))
     status = HOLDS if monotone else FAILS
@@ -210,7 +257,7 @@ def _verify_hazard_bound(d: DistributionSpec, index: int, x0: float,
                          cfg: DecisionConfig) -> CriterionReport:
     """Condition (ii), hazard part: f/F-bar >= A/x on the grid, A fitted at
     the grid minimum of x * hazard(x)."""
-    grid = _verification_grid(x0, cfg)
+    grid = _verification_grid(x0)
     xh = np.array([math.exp(log_hazard(d, x) + math.log(x)) for x in grid])
     finite = np.all(np.isfinite(xh))
     a_fit = float(np.min(xh)) if finite else float("nan")
@@ -239,7 +286,7 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float,
     drives the slope to minus infinity.  B is fitted at the grid minimum.
     """
     a_t, b_t, g_t = tail_bound_params(d)
-    grid = _verification_grid(x0, cfg)
+    grid = _verification_grid(x0)
     log_ratio = np.array([log_tail_scaled(d, x) - g_t * math.log(x) for x in grid])
     finite = np.all(np.isfinite(log_ratio))
     if not finite:
@@ -269,6 +316,8 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float,
 
 def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
                            cfg: DecisionConfig) -> list[CriterionReport]:
+    """Theorems 7, 10 and 11: one decreasing density, then the hazard and
+    tail envelopes of every factor."""
     dec_report, x0_eff = _verify_decreasing(factors, support, cfg)
     reports = [dec_report]
     for i, d in enumerate(factors):
@@ -277,99 +326,97 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
     return reports
 
 
+def _single_side_conditions(d: DistributionSpec, growth: CriterionReport, threshold: float,
+                            cfg: DecisionConfig) -> list[CriterionReport]:
+    """Theorems 2 and 4: fast moment growth plus Condition L.  The real-line
+    theorem also needs a symmetric density, which every DGG factor has."""
+    required = threshold + GROWTH_MARGIN
+    fast_ok = growth.status == HOLDS and growth.evidence["a_hat"] >= required
+    fast = CriterionReport(
+        criterion="growth",
+        status=HOLDS if fast_ok else INCONCLUSIVE,
+        evidence={**growth.evidence, "required_at_least": required},
+        notes=("numeric surrogate for the fast-growth hypothesis",),
+    )
+    return [fast, condition_L_check(d, x0=cfg.x0)]
+
+
 # ---------------------------------------------------------------------------
-# single factors
+# the decision pipeline
+
+
+def _evidence(factors: Sequence[DistributionSpec], route: str, support: str,
+              cfg: DecisionConfig) -> list[CriterionReport]:
+    """Moment-side estimates recorded with every verdict of a route."""
+    if route == SINGLE:
+        return [growth_exponent(LogMomentSequence.from_distribution(factors[0], cfg.k_horizon))]
+    if route == RATIO:
+        parity = criteria.PARITY_ALL if support == STIELTJES else criteria.PARITY_EVEN
+        return [criteria.ratio_rate(LogMomentSequence.from_distribution(
+            d, cfg.k_horizon, parity=parity)) for d in factors]
+    return []
+
+
+def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
+    """Compare the exponent sum with the threshold, then cite the route's
+    rule from RULES: the M-det rule at or below it, the M-indet rule above it
+    once the route's side conditions hold."""
+    factors = p.factors
+    support = support_class(p)
+    det_rule, indet_rule = RULES[route][support]
+    # the ratio route uses the even-step rates 2/beta off the half line
+    scale = 2 if route == RATIO and support != STIELTJES else 1
+    threshold = scale * _threshold(support)
+    exponents = [scale * factor_exponent(d) for d in factors]
+    exact = [factor_exponent_exact(d) for d in factors]
+    exact_sum = scale * sum(exact, Fraction(0)) if all(e is not None for e in exact) else None
+    total = math.fsum(exponents)
+    det = _at_or_below(total, exact_sum, threshold)
+    if route == RATIO and exact_sum is not None:
+        # exact rates are reported as rounded from their exact values
+        exponents, total = [float(scale * e) for e in exact], float(exact_sum)
+
+    side = _evidence(factors, route, support, cfg)
+    caveats = [_MIXED_CAVEAT] if support == MIXED else []
+    if det is None:
+        rule, caveat = _BOUNDARY[route]
+        conclusion = INCONCLUSIVE
+        caveats.append(caveat)
+    elif det:
+        conclusion, rule = M_DET, _rule(det_rule, factors)
+    elif indet_rule is None:
+        conclusion, rule = INCONCLUSIVE, _RATIO_NOT_APPLICABLE
+        caveats.append("rate sum exceeds 2; this route cannot prove indeterminacy")
+    else:
+        if route == SINGLE:
+            side = _single_side_conditions(factors[0], side[0], threshold, cfg)
+        else:
+            side = _indet_side_conditions(factors, support, cfg)
+        failed = [r.criterion + (f"[{r.evidence['factor_index']}]"
+                                 if "factor_index" in r.evidence else "")
+                  for r in side if not r.holds]
+        if failed:
+            conclusion, rule = INCONCLUSIVE, "side conditions unverified"
+            caveats.append(f"unverified: {', '.join(failed)}")
+        else:
+            conclusion, rule = M_INDET, _rule(indet_rule, factors)
+    return Verdict(
+        conclusion=conclusion,
+        rule=rule,
+        side_conditions=tuple(side),
+        factor_exponents=tuple(exponents),
+        exponent_sum=total,
+        threshold=threshold,
+        exact=exact_sum is not None,
+        support=support,
+        caveats=tuple(caveats),
+    )
 
 
 def decide_single(d: DistributionSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
     """Verdict for one factor: growth at or below the case threshold gives
     M-det; above it, fast growth plus the Lin condition gives M-indet."""
-    support = d.support
-    thr = _threshold(support)
-    a = factor_exponent(d)
-    a_exact = factor_exponent_exact(d)
-    seq = LogMomentSequence.from_distribution(d, cfg.k_horizon)
-    growth = growth_exponent(seq)
-    side = [growth]
-    caveats = []
-
-    if a_exact is not None:
-        exact = True
-        det = a_exact <= (2 if support == STIELTJES else 1)
-    else:
-        exact = False
-        if abs(a - thr) <= BOUNDARY_BAND:
-            return Verdict(
-                conclusion=INCONCLUSIVE,
-                rule="boundary",
-                side_conditions=tuple(side),
-                factor_exponents=(a,),
-                exponent_sum=a,
-                threshold=thr,
-                exact=False,
-                support=support,
-                caveats=("exponent within the boundary band of the threshold and no "
-                         "exact rational shape parameter was given",),
-            )
-        det = a < thr
-
-    if det:
-        base = "Theorem 1" if support == STIELTJES else "Theorem 3"
-        return Verdict(
-            conclusion=M_DET,
-            rule=_rule(base, [d]),
-            side_conditions=tuple(side),
-            factor_exponents=(a,),
-            exponent_sum=a,
-            threshold=thr,
-            exact=exact,
-            support=support,
-            caveats=tuple(caveats),
-        )
-
-    # indeterminacy route: fast growth + Condition L (+ symmetry on the real line)
-    fast_ok = growth.status == HOLDS and growth.evidence["a_hat"] >= thr + GROWTH_MARGIN
-    fast = CriterionReport(
-        criterion="growth",
-        status=HOLDS if fast_ok else INCONCLUSIVE,
-        evidence={**growth.evidence, "required_at_least": thr + GROWTH_MARGIN},
-        notes=("numeric surrogate for the fast-growth hypothesis",),
-    )
-    lin = condition_L_check(d, x0=cfg.x0)
-    side = [fast, lin]
-    if support == HAMBURGER and not d.is_symmetric:
-        lin = CriterionReport("lin", FAILS, lin.evidence,
-                              lin.notes + ("a symmetric density is required",))
-        side[-1] = lin
-    if fast.holds and lin.holds:
-        base = "Theorem 2" if support == STIELTJES else "Theorem 4"
-        return Verdict(
-            conclusion=M_INDET,
-            rule=_rule(base, [d]),
-            side_conditions=tuple(side),
-            factor_exponents=(a,),
-            exponent_sum=a,
-            threshold=thr,
-            exact=exact,
-            support=support,
-            caveats=tuple(caveats),
-        )
-    failed = [r.criterion for r in side if not r.holds]
-    return Verdict(
-        conclusion=INCONCLUSIVE,
-        rule="side conditions unverified",
-        side_conditions=tuple(side),
-        factor_exponents=(a,),
-        exponent_sum=a,
-        threshold=thr,
-        exact=exact,
-        support=support,
-        caveats=(f"unverified: {', '.join(failed)}",),
-    )
-
-
-# ---------------------------------------------------------------------------
-# products
+    return _decide(ProductSpec([d]), SINGLE, cfg)
 
 
 def decide_product(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
@@ -379,157 +426,20 @@ def decide_product(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verd
     it, the per-factor hazard and tail envelopes plus one decreasing density
     prove M-indet.  Anything unverified stays inconclusive.
     """
-    factors = p.factors
-    if len(factors) == 1:
-        return decide_single(factors[0], cfg)
-    support = support_class(p)
-    thr = _threshold(support)
-    total, total_exact = _exponent_sum(factors)
-    exps = tuple(factor_exponent(d) for d in factors)
-    caveats = [_MIXED_CAVEAT] if support == MIXED else []
-
-    if total_exact is not None:
-        exact = True
-        det = total_exact <= (2 if support == STIELTJES else 1)
-    else:
-        exact = False
-        if abs(total - thr) <= BOUNDARY_BAND:
-            return Verdict(
-                conclusion=INCONCLUSIVE,
-                rule="boundary",
-                side_conditions=(),
-                factor_exponents=exps,
-                exponent_sum=total,
-                threshold=thr,
-                exact=False,
-                support=support,
-                caveats=tuple(caveats + [
-                    "exponent sum within the boundary band of the threshold and "
-                    "not all shape parameters were given as exact rationals"]),
-            )
-        det = total < thr
-
-    if det:
-        base = {STIELTJES: "Theorem 5", HAMBURGER: "Theorem 8",
-                MIXED: "Theorems 8-9 analogue (mixed case)"}[support]
-        return Verdict(
-            conclusion=M_DET,
-            rule=_rule(base, factors),
-            side_conditions=(),
-            factor_exponents=exps,
-            exponent_sum=total,
-            threshold=thr,
-            exact=exact,
-            support=support,
-            caveats=tuple(caveats),
-        )
-
-    side = _indet_side_conditions(factors, support, cfg)
-    if all(r.holds for r in side):
-        base = {STIELTJES: "Theorem 7", HAMBURGER: "Theorem 10",
-                MIXED: "Theorem 11"}[support]
-        return Verdict(
-            conclusion=M_INDET,
-            rule=_rule(base, factors),
-            side_conditions=tuple(side),
-            factor_exponents=exps,
-            exponent_sum=total,
-            threshold=thr,
-            exact=exact,
-            support=support,
-            caveats=tuple(caveats),
-        )
-    failed = [f"{r.criterion}[{r.evidence.get('factor_index', '-')}]"
-              for r in side if not r.holds]
-    return Verdict(
-        conclusion=INCONCLUSIVE,
-        rule="side conditions unverified",
-        side_conditions=tuple(side),
-        factor_exponents=exps,
-        exponent_sum=total,
-        threshold=thr,
-        exact=exact,
-        support=support,
-        caveats=tuple(caveats + [f"unverified: {', '.join(failed)}"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the ratio route
-
-
-def _ratio_rate_exact(d: DistributionSpec, even: bool) -> Optional[Fraction]:
-    if d.family == IG:
-        return Fraction(2) if even else Fraction(1)
-    if d.beta_exact is None:
-        return None
-    return (2 if even else 1) / d.beta_exact
+    if len(p.factors) == 1:
+        return decide_single(p.factors[0], cfg)
+    return _decide(p, PRODUCT, cfg)
 
 
 def ratio_route(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
     """Alternative determinacy route via growth rates of successive moments.
 
-    A rate sum at most 2 (all-order form on the half line, even-order form on
-    the real line) proves M-det; this route can never prove indeterminacy.
+    The closed-form rates decide: 1/beta on the half line, 2/beta in the
+    even-order form on the real line (IG: 1 and 2).  A rate sum at most 2
+    proves M-det; this route can never prove indeterminacy.  The estimated
+    rates are recorded as evidence only.
     """
-    factors = p.factors
-    support = support_class(p)
-    even = support != STIELTJES
-    parity = criteria.PARITY_EVEN if even else criteria.PARITY_ALL
-    reports = []
-    rates = []
-    exact_rates = []
-    for d in factors:
-        seq = LogMomentSequence.from_distribution(d, cfg.k_horizon, parity=parity)
-        rep = criteria.ratio_rate(seq)
-        reports.append(rep)
-        rates.append(rep.evidence["r_hat"])
-        exact_rates.append(_ratio_rate_exact(d, even))
-    total = math.fsum(rates)
-    caveats = [_MIXED_CAVEAT] if support == MIXED else []
-    base = "Theorem 6" if support == STIELTJES else "Theorem 9"
-    if support == MIXED:
-        base = "Theorems 8-9 analogue (mixed case)"
-
-    if all(e is not None for e in exact_rates):
-        exact_total = sum(exact_rates, Fraction(0))
-        det = exact_total <= 2
-        exact = True
-        total = float(exact_total)
-        rates = [float(r) for r in exact_rates]
-    else:
-        exact = False
-        if abs(total - 2.0) <= criteria.THRESHOLD_BAND:
-            det = None
-        else:
-            det = total < 2.0
-
-    if det:
-        return Verdict(
-            conclusion=M_DET,
-            rule=_rule(base, factors),
-            side_conditions=tuple(reports),
-            factor_exponents=tuple(rates),
-            exponent_sum=total,
-            threshold=2.0,
-            exact=exact,
-            support=support,
-            caveats=tuple(caveats),
-        )
-    reason = ("rate sum exceeds 2; this route cannot prove indeterminacy"
-              if det is False else
-              "rate sum within the tolerance band of 2 without exact rates")
-    return Verdict(
-        conclusion=INCONCLUSIVE,
-        rule="ratio route not applicable",
-        side_conditions=tuple(reports),
-        factor_exponents=tuple(rates),
-        exponent_sum=total,
-        threshold=2.0,
-        exact=exact,
-        support=support,
-        caveats=tuple(caveats + [reason]),
-    )
+    return _decide(p, RATIO, cfg)
 
 
 # ---------------------------------------------------------------------------

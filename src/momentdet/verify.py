@@ -17,14 +17,16 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .distributions import (
-    DistributionSpec,
+    HAMBURGER,
+    STIELTJES,
     ProductSpec,
     log_moment,
     sample_product,
 )
 
-POSITIVE_HALF_LINE = "positive-half-line"
-REAL_LINE = "real-line"
+# quadrature supports, named by their support class
+POSITIVE_HALF_LINE = STIELTJES
+REAL_LINE = HAMBURGER
 
 STIELTJES_CASE = "stieltjes"
 HAMBURGER_CASE = "hamburger"
@@ -92,10 +94,10 @@ def quadrature_log_moment(log_dens: Callable, support: str, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if support == POSITIVE_HALF_LINE:
+    if support == STIELTJES:
         g = lambda u: (k + 1) * u + log_dens(math.exp(u))
         return _log_integral(g)
-    if support == REAL_LINE:
+    if support == HAMBURGER:
         if k % 2 == 1:
             raise ValueError("odd real-line moments are signed; use quadrature_moment")
         gp = lambda u: (k + 1) * u + log_dens(math.exp(u))
@@ -106,7 +108,7 @@ def quadrature_log_moment(log_dens: Callable, support: str, k: int) -> float:
 
 def quadrature_moment(log_dens: Callable, support: str, k: int) -> float:
     """The k-th moment by adaptive quadrature; tail mass bound < 1e-12 relative."""
-    if support == REAL_LINE and k % 2 == 1:
+    if support == HAMBURGER and k % 2 == 1:
         gp = lambda u: (k + 1) * u + log_dens(math.exp(u))
         gm = lambda u: (k + 1) * u + log_dens(-math.exp(u))
         return math.exp(_log_integral(gp)) - math.exp(_log_integral(gm))
@@ -150,7 +152,8 @@ class CounterexampleDensity:
 
     @property
     def support(self) -> str:
-        return POSITIVE_HALF_LINE if self.case == STIELTJES_CASE else REAL_LINE
+        """The support class: Stieltjes or Hamburger."""
+        return STIELTJES if self.case == STIELTJES_CASE else HAMBURGER
 
     def log_density(self, x):
         x = np.asarray(x, dtype=float)

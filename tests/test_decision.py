@@ -210,8 +210,60 @@ class TestRatioRoute:
             p = P([fams[int(rng.integers(0, 3))](rng) for _ in range(n)])
             ratio = dec.ratio_route(p)
             main = dec.decide_product(p)
-            if ratio.conclusion == dec.M_DET:
-                assert main.conclusion != dec.M_INDET, str(p)
+            # every shape here is exact, so both routes decide the same sum
+            assert ratio.exact and main.exact
+            assert (ratio.conclusion == dec.M_DET) == (main.conclusion == dec.M_DET), str(p)
+
+    def test_float_band_product_not_determinate(self):
+        # exact exponent sum 0.5014 + 1 + 0.5 = 2.0014 lies above 2; the
+        # estimated rates converge from below and sum to about 1.947
+        p = P([dist.gg(1, 1 / 0.5014, 1), dist.ig(0.13, 6.6), dist.gg(0.5, 2, 3.1)])
+        v = dec.ratio_route(p)
+        assert v.conclusion == cr.INCONCLUSIVE
+        assert v.rule == "ratio route not applicable"
+        assert not v.exact
+        assert v.exponent_sum == pytest.approx(2.0014, abs=1e-12)
+        assert [r.criterion for r in v.side_conditions] == ["ratio"] * 3
+
+
+HALF_NORMAL = dist.half_normal()
+FLOAT_HALF = dist.DistributionSpec("GG", alpha=1.0, beta=0.50000001, gamma=1.0)
+
+# (route, factors, rule code): one case per cell of dec.RULES, plus the
+# inconclusive outcomes
+RULE_CASES = [
+    ("single", [EXP], "Theorem 1"),
+    ("single", [dist.gg(1, "1/3", 1)], "Theorem 2"),
+    ("single", [dist.dgg(1, 1, 1)], "Theorem 3"),
+    ("single", [dist.dgg(1, "1/2", 1)], "Theorem 4"),
+    ("single", [FLOAT_HALF], "boundary"),
+    ("single", [dist.gg(1, "1/30", 1)], "side conditions unverified"),
+    ("product", [EXP, EXP], "Theorem 5"),
+    ("product", [IG11, dist.ig(2, 1), EXP], "Theorem 7"),
+    ("product", [NORMAL, NORMAL], "Theorem 8"),
+    ("product", [NORMAL] * 3, "Theorem 10"),
+    ("product", [HALF_NORMAL, NORMAL], "Theorems 8-9 analogue (mixed case)"),
+    ("product", [EXP, NORMAL], "Theorem 11"),
+    ("product", [dist.gg(1, 1.00000001, 1), EXP], "boundary"),
+    ("ratio", [EXP, EXP], "Theorem 6"),
+    ("ratio", [NORMAL, NORMAL], "Theorem 9"),
+    ("ratio", [HALF_NORMAL, NORMAL], "Theorems 8-9 analogue (mixed case)"),
+    ("ratio", [dist.gg(1, "1/2", 1)] * 2, "ratio route not applicable"),
+    ("ratio", [NORMAL] * 4, "ratio route not applicable"),
+    ("ratio", [EXP, NORMAL], "ratio route not applicable"),
+]
+ROUTES = {"single": lambda fs: dec.decide_single(fs[0]),
+          "product": lambda fs: dec.decide_product(P(fs)),
+          "ratio": lambda fs: dec.ratio_route(P(fs))}
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("route,factors,rule", RULE_CASES,
+                             ids=[f"{r}-{dist.support_class(P(fs))}-{c}"
+                                  for r, fs, c in RULE_CASES])
+    def test_rule_code(self, route, factors, rule):
+        v = ROUTES[route](factors)
+        assert v.rule.split("; ")[0] == rule
 
 
 class TestEngineInvariants:
