@@ -111,7 +111,7 @@ class LogMomentSequence:
             parity = PARITY_EVEN if d.family == DGG else PARITY_ALL
         step = 1 if parity == PARITY_ALL else 2
         orders = np.arange(step, k_max + 1, step)
-        values = np.array([log_moment(d, int(k)) for k in orders])
+        values = log_moment(d, orders)
         return cls(orders=orders, values=values, parity=parity, source="analytic")
 
     @classmethod

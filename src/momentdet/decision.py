@@ -19,6 +19,7 @@ identifiers; ``explain`` renders them together with the verified evidence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -72,6 +73,8 @@ TAIL_SLOPE_HEADROOM = 10.0
 # GRID_POINTS points from the effective x0 to GRID_SPAN times it
 GRID_POINTS = 60
 GRID_SPAN = 1e3
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -253,14 +256,19 @@ def _verify_decreasing(factors: Sequence[DistributionSpec], support: str,
     return report, x0_eff
 
 
-def _verify_hazard_bound(d: DistributionSpec, index: int, x0: float,
-                         cfg: DecisionConfig) -> CriterionReport:
+def _fitted_constant(log_value: float) -> float:
+    """exp(log_value), clamped at the largest float.  A fitted constant enters
+    a lower bound, so any smaller positive value satisfies it as well."""
+    return sys.float_info.max if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
+
+
+def _verify_hazard_bound(d: DistributionSpec, index: int, x0: float) -> CriterionReport:
     """Condition (ii), hazard part: f/F-bar >= A/x on the grid, A fitted at
     the grid minimum of x * hazard(x)."""
     grid = _verification_grid(x0)
-    xh = np.array([math.exp(log_hazard(d, x) + math.log(x)) for x in grid])
-    finite = np.all(np.isfinite(xh))
-    a_fit = float(np.min(xh)) if finite else float("nan")
+    log_xh = log_hazard(d, grid) + np.log(grid)
+    finite = bool(np.all(np.isfinite(log_xh)))
+    a_fit = _fitted_constant(float(np.min(log_xh))) if finite else float("nan")
     ok = finite and a_fit > 0.0
     return CriterionReport(
         criterion="hazard_bound",
@@ -275,8 +283,7 @@ def _verify_hazard_bound(d: DistributionSpec, index: int, x0: float,
     )
 
 
-def _verify_tail_bound(d: DistributionSpec, index: int, x0: float,
-                       cfg: DecisionConfig) -> CriterionReport:
+def _verify_tail_bound(d: DistributionSpec, index: int, x0: float) -> CriterionReport:
     """Condition (ii), tail part: F-bar(x) >= B x^g exp(-a x^b) with the
     family-native exponents.
 
@@ -287,7 +294,7 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float,
     """
     a_t, b_t, g_t = tail_bound_params(d)
     grid = _verification_grid(x0)
-    log_ratio = np.array([log_tail_scaled(d, x) - g_t * math.log(x) for x in grid])
+    log_ratio = log_tail_scaled(d, grid) - g_t * np.log(grid)
     finite = np.all(np.isfinite(log_ratio))
     if not finite:
         ok, b_fit, slope = False, float("nan"), float("-inf")
@@ -295,7 +302,7 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float,
         span = math.log(grid[-1]) - math.log(grid[-6])
         slope = float(log_ratio[-1] - log_ratio[-6]) / span
         ok = slope >= -(abs(g_t) + TAIL_SLOPE_HEADROOM)
-        b_fit = math.exp(float(np.min(log_ratio))) * (1.0 - 1e-9)
+        b_fit = _fitted_constant(float(np.min(log_ratio))) * (1.0 - 1e-9)
     return CriterionReport(
         criterion="tail_bound",
         status=HOLDS if ok else FAILS,
@@ -321,8 +328,8 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
     dec_report, x0_eff = _verify_decreasing(factors, support, cfg)
     reports = [dec_report]
     for i, d in enumerate(factors):
-        reports.append(_verify_hazard_bound(d, i, x0_eff, cfg))
-        reports.append(_verify_tail_bound(d, i, x0_eff, cfg))
+        reports.append(_verify_hazard_bound(d, i, x0_eff))
+        reports.append(_verify_tail_bound(d, i, x0_eff))
     return reports
 
 

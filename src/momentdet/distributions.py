@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, log_ndtr, logsumexp
+from scipy.special import gammaincc, gammaln, log_ndtr
 
 GG = "GG"
 DGG = "DGG"
@@ -229,22 +229,48 @@ def log_density(d: DistributionSpec, x, strict: bool = False):
 # moments
 
 
-def log_moment(d: DistributionSpec, k: int) -> float:
-    """ln E[X^k] in closed form; -inf for the vanishing odd moments of DGG."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+def log_moment(d: DistributionSpec, k):
+    """ln E[X^k] in closed form for an order or an array of orders; -inf for
+    the vanishing odd moments of DGG.
+
+    A scalar order is the 0-d case of the array computation, so a moment
+    sequence and its single entries agree bit for bit.
+    """
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise ValueError("moment order k must be an integer >= 1")
-    k = int(k)
-    if d.family == DGG and k % 2 == 1:
-        return -math.inf
-    if d.family in (GG, DGG):
+    if d.family == IG:
+        out = _ig_log_moments(d, int(ks.max()))[ks]
+    else:
         s = d.gamma / d.beta
-        return (-k / d.beta) * math.log(d.alpha) + gammaln((d.gamma + k) / d.beta) - gammaln(s)
-    # IG: m_k = mu^k sum_{i<k} (k-1+i)! / (i! (k-1-i)!) (mu / (2 lam))^i,
-    # summed in log space (every term is positive).
-    i = np.arange(k, dtype=float)
-    terms = gammaln(k + i) - gammaln(i + 1.0) - gammaln(k - i) \
-        + i * (math.log(d.mu) - math.log(2.0 * d.lam))
-    return k * math.log(d.mu) + float(logsumexp(terms))
+        out = (-ks / d.beta) * math.log(d.alpha) + gammaln((d.gamma + ks) / d.beta) - gammaln(s)
+        if d.family == DGG:
+            out = np.where(ks % 2 == 1, -np.inf, out)
+    return float(out) if ks.ndim == 0 else out
+
+
+def _ig_log_moments(d: DistributionSpec, k_max: int) -> np.ndarray:
+    # ln m_0 .. ln m_kmax from the three-term recurrence
+    #   m_(k+1) = (2k-1) (mu^2/lam) m_k + mu^2 m_(k-1),  m_0 = 1, m_1 = mu,
+    # divided by m_k: the ratios r_k = m_k / m_(k-1) obey
+    #   r_(k+1) = (2k-1) mu^2/lam + mu^2 / r_k,  r_1 = mu.
+    # Both terms are positive, so their log-sum is stable; ln m_k is the
+    # compensated (Neumaier) running sum of ln r_j.
+    log_mu2 = 2.0 * math.log(d.mu)
+    log_c = (np.log(np.arange(1, 2 * k_max, 2, dtype=float)) + (log_mu2 - math.log(d.lam))).tolist()
+    log_r = math.log(d.mu)
+    total, comp = 0.0, 0.0
+    out = [0.0]
+    for k in range(1, k_max + 1):
+        t = total + log_r
+        comp += (total - t) + log_r if abs(total) >= abs(log_r) else (log_r - t) + total
+        total = t
+        out.append(total + comp)
+        if k < k_max:
+            a, b = log_c[k - 1], log_mu2 - log_r
+            hi, lo = (a, b) if a >= b else (b, a)
+            log_r = hi + math.log1p(math.exp(lo - hi))
+    return np.array(out)
 
 
 def moment(d: DistributionSpec, k: int) -> float:
@@ -256,83 +282,101 @@ def moment(d: DistributionSpec, k: int) -> float:
 # tails and hazards
 
 
-def _log_upper_gamma_cf(s: float, z: float) -> float:
-    # ln of the Lentz continued fraction for Gamma(s, z) / (z^s e^-z);
-    # reliable for z well above s, which is the only regime we use it in.
+def _pointwise(kernel, d: DistributionSpec, x):
+    """Apply an array kernel to a scalar or an array of points.
+
+    A scalar is the one-element case of the same computation.  Floating-point
+    exceptions are not raised or warned about: an overflow or a complete
+    cancellation shows up as a non-finite value, which the caller's checks
+    reject.
+    """
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = kernel(d, xs.reshape(-1))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def _log_upper_gamma_cf(s: float, z: np.ndarray) -> np.ndarray:
+    # ln of the Lentz continued fraction for Gamma(s, z) / (z^s e^-z),
+    # elementwise; reliable for z well above s, which is the only regime we
+    # use it in.  Converged elements are frozen while the rest iterate.
     tiny = 1e-300
     b = z + 1.0 - s
-    c = 1.0 / tiny
+    c = np.full(z.shape, 1.0 / tiny)
     dd = 1.0 / b
     h = dd
+    active = np.ones(z.shape, dtype=bool)
     for i in range(1, 600):
         an = -i * (i - s)
-        b += 2.0
+        b = b + 2.0
         dd = an * dd + b
-        if abs(dd) < tiny:
-            dd = tiny
+        dd = np.where(np.abs(dd) < tiny, tiny, dd)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         dd = 1.0 / dd
         delta = dd * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        h = np.where(active, h * delta, h)
+        active &= np.abs(delta - 1.0) >= 1e-16
+        if not active.any():
             break
-    return math.log(h)
+    return np.log(h)
 
 
-def _log_gammaincc(s: float, z: float, scaled: bool = False) -> float:
-    """ln Q(s, z), the regularized upper incomplete gamma.
+def _log_gammaincc(s: float, z: np.ndarray, scaled: bool = False) -> np.ndarray:
+    """ln Q(s, z), the regularized upper incomplete gamma, elementwise.
 
     ``scaled`` returns ln(Q(s, z) * e^z), which stays accurate when z is so
     large that Q underflows (needed for tail bounds out to z ~ 1e9).
     """
-    if z <= 0.0:
-        return z if scaled else 0.0
-    if z < s + 30.0:
-        q = float(gammaincc(s, z))
-        lq = math.log(q)
-        return lq + z if scaled else lq
-    body = s * math.log(z) - gammaln(s) + _log_upper_gamma_cf(s, z)
-    return body if scaled else body - z
+    out = z.copy() if scaled else np.zeros(z.shape)   # the z <= 0 value
+    near = (z > 0.0) & (z < s + 30.0)
+    far = ~(near | (z <= 0.0))                        # includes nan
+    zn = z[near]
+    lq = np.log(gammaincc(s, zn))
+    out[near] = lq + zn if scaled else lq
+    zf = z[far]
+    if zf.size:
+        body = s * np.log(zf) - gammaln(s) + _log_upper_gamma_cf(s, zf)
+        out[far] = body if scaled else body - zf
+    return out
 
 
-def log_tail(d: DistributionSpec, x) -> float:
-    """ln(1 - F(x)), stable far into the tail."""
-    if np.ndim(x) > 0:
-        return np.array([log_tail(d, xi) for xi in np.asarray(x, dtype=float)])
-    x = float(x)
-    if d.family == IG:
-        if x <= 0.0:
-            return 0.0
-        return _ig_log_tail(d, x)
-    s = d.gamma / d.beta
-    if d.family == GG:
-        if x <= 0.0:
-            return 0.0
-        return _log_gammaincc(s, d.alpha * x ** d.beta)
-    # DGG, symmetric about 0
-    if x < 0.0:
-        q = math.exp(_log_gammaincc(s, d.alpha * (-x) ** d.beta))
-        return math.log1p(-0.5 * q)
-    if x == 0.0:
-        return math.log(0.5)
-    return math.log(0.5) + _log_gammaincc(s, d.alpha * x ** d.beta)
-
-
-def _ig_log_tail(d: DistributionSpec, x: float, scaled: bool = False) -> float:
+def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np.ndarray:
     # 1 - F = Phi(-a) - e^(2 lam/mu) Phi(-b) with a, b the usual IG arguments;
     # evaluated through log_ndtr to survive the near-cancellation at large x.
-    rt = math.sqrt(d.lam / x)
+    # Complete cancellation gives -inf or nan, never a clamped value.
+    rt = np.sqrt(d.lam / x)
     a = rt * (x / d.mu - 1.0)
     b = rt * (x / d.mu + 1.0)
-    t1 = float(log_ndtr(-a))
-    t2 = 2.0 * d.lam / d.mu + float(log_ndtr(-b))
-    diff = t2 - t1
-    if diff >= 0.0:
-        diff = -1e-17
-    lt = t1 + math.log1p(-math.exp(diff))
+    t1 = log_ndtr(-a)
+    t2 = 2.0 * d.lam / d.mu + log_ndtr(-b)
+    lt = t1 + np.log1p(-np.exp(t2 - t1))
     return lt + d.lam * x / (2.0 * d.mu ** 2) if scaled else lt
+
+
+def _log_tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    out = np.zeros(x.shape)                           # x <= 0 on the half line
+    pos = x > 0.0
+    xp = x[pos]
+    if d.family == IG:
+        out[pos] = _ig_log_tail(d, xp)
+        return out
+    s = d.gamma / d.beta
+    if d.family == GG:
+        out[pos] = _log_gammaincc(s, d.alpha * xp ** d.beta)
+        return out
+    # DGG, symmetric about 0
+    neg = x < 0.0
+    q = np.exp(_log_gammaincc(s, d.alpha * (-x[neg]) ** d.beta))
+    out[neg] = np.log1p(-0.5 * q)
+    out[x == 0.0] = math.log(0.5)
+    out[pos] = math.log(0.5) + _log_gammaincc(s, d.alpha * xp ** d.beta)
+    return out
+
+
+def log_tail(d: DistributionSpec, x):
+    """ln(1 - F(x)), stable far into the tail; scalar or array x."""
+    return _pointwise(_log_tail, d, x)
 
 
 def tail(d: DistributionSpec, x) -> float:
@@ -341,20 +385,20 @@ def tail(d: DistributionSpec, x) -> float:
     return np.exp(lt) if np.ndim(x) > 0 else math.exp(lt)
 
 
-def log_tail_scaled(d: DistributionSpec, x: float) -> float:
+def _log_tail_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    if d.family == IG:
+        return _ig_log_tail(d, x, scaled=True)
+    lq = _log_gammaincc(d.gamma / d.beta, d.alpha * x ** d.beta, scaled=True)
+    return lq + math.log(0.5) if d.family == DGG else lq
+
+
+def log_tail_scaled(d: DistributionSpec, x):
     """ln( F-bar(x) * exp(+alpha_t x^beta_t) ) for the family-native tail exponents.
 
     Computed without forming the huge exponent difference, so it is usable on
-    grids where alpha_t x^beta_t reaches 1e9.
+    grids where alpha_t x^beta_t reaches 1e9.  Scalar or array x > 0.
     """
-    if d.family == IG:
-        return _ig_log_tail(d, float(x), scaled=True)
-    s = d.gamma / d.beta
-    z = d.alpha * float(x) ** d.beta
-    lq = _log_gammaincc(s, z, scaled=True)
-    if d.family == DGG:
-        lq += math.log(0.5)
-    return lq
+    return _pointwise(_log_tail_scaled, d, x)
 
 
 def hazard(d: DistributionSpec, x) -> float:
@@ -362,8 +406,29 @@ def hazard(d: DistributionSpec, x) -> float:
     return math.exp(log_hazard(d, x)) if np.ndim(x) == 0 else np.exp(log_hazard(d, x))
 
 
+def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    # For x > 0, ln h = head(x) - log_tail_scaled(x): the exponential factor
+    # exp(-alpha_t x^beta_t) of the density and of the tail cancels
+    # analytically instead of as the difference of two huge logs.
+    pos = x > 0.0
+    xp = x[pos]
+    if d.family == IG:
+        head = 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(xp)) \
+            + d.lam / d.mu - d.lam / (2.0 * xp)
+    else:
+        # the ln 2 of a DGG density and of its tail cancel
+        head = _log_norming(d) + (d.gamma - 1.0) * np.log(xp)
+    out = np.empty(x.shape)
+    out[pos] = head - _log_tail_scaled(d, xp)
+    if not pos.all():
+        rest = x[~pos]
+        out[~pos] = log_density(d, rest) - _log_tail(d, rest)
+    return out
+
+
 def log_hazard(d: DistributionSpec, x):
-    return log_density(d, x) - log_tail(d, x)
+    """ln(f(x) / F-bar(x)); scalar or array x."""
+    return _pointwise(_log_hazard, d, x)
 
 
 def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import random
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -162,7 +165,7 @@ class TestDecideProduct:
         # small alpha and beta = 1/3: the tail ratio decays polynomially for
         # the whole verification grid, which is not an envelope violation
         d = dist.gg(0.117, "1/3", 2.87)
-        rep = dec._verify_tail_bound(d, 0, 1.0, dec.DEFAULT_CONFIG)
+        rep = dec._verify_tail_bound(d, 0, 1.0)
         assert rep.holds
 
     def test_wrong_envelope_order_rejected(self, monkeypatch):
@@ -172,8 +175,31 @@ class TestDecideProduct:
         monkeypatch.setattr(dec, "tail_bound_params", lambda _: (0.5, 1.0, -1.0))
         wrong_scaled = lambda dd, x: dist.log_tail(dd, x) + 0.5 * x
         monkeypatch.setattr(dec, "log_tail_scaled", wrong_scaled)
-        rep = dec._verify_tail_bound(d, 0, 1.0, dec.DEFAULT_CONFIG)
+        rep = dec._verify_tail_bound(d, 0, 1.0)
         assert not rep.holds
+
+    @pytest.mark.parametrize("beta", ["20/3", 10])
+    def test_steep_factor_hazard(self, beta):
+        # alpha x^beta reaches 1e20 and more on the grid: the hazard is taken
+        # in closed log form, not as the difference of two huge logs
+        v = dec.decide_product(P([dist.gg(1, beta, 1), dist.gg(1, "1/3", 1)]))
+        assert v.conclusion == dec.M_INDET
+        assert v.rule == "Theorem 7; Corollary 1"
+
+    def test_fitted_constant_clamped(self):
+        # ln(F-bar / envelope) stays near lam/mu ~ 1830 on the grid: B is the
+        # largest float, still a valid constant for the lower bound
+        rep = dec._verify_tail_bound(dist.ig(0.39, 713), 0, 1.0)
+        assert rep.holds
+        assert rep.evidence["B"] == sys.float_info.max * (1.0 - 1e-9)
+
+    def test_tail_cancellation_names_the_check(self):
+        # from x0 = 1e7 the IG tail cancels completely on part of the grid;
+        # the failing checks are named instead of an exception escaping
+        v = dec.decide_product(P([IG11, IG11, EXP]), dec.DecisionConfig(x0=1e7))
+        assert v.conclusion == cr.INCONCLUSIVE
+        assert v.rule == "side conditions unverified"
+        assert "tail_bound[0]" in v.caveats[0]
 
 
 class TestRatioRoute:
@@ -346,3 +372,34 @@ class TestExplain:
         v1 = dec.decide_product(P([EXP, NORMAL]))
         v2 = dec.decide_product(P([EXP, NORMAL]))
         assert dec.explain(v1) == dec.explain(v2)
+
+
+def _fuzz_factor(rng: random.Random):
+    """Parameters log-uniform over alpha in [1e-3, 1e3], beta in [0.03, 30],
+    gamma in [0.01, 100] and IG mu, lambda in [1e-3, 1e3]."""
+    def draw(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    family = rng.choice((dist.GG, dist.DGG, dist.IG))
+    if family == dist.IG:
+        return dist.ig(draw(1e-3, 1e3), draw(1e-3, 1e3)), Fraction(1)
+    beta = draw(0.03, 30.0)
+    make = dist.gg if family == dist.GG else dist.dgg
+    return make(draw(1e-3, 1e3), beta, draw(0.01, 100.0)), 1 / Fraction(beta)
+
+
+def test_fuzz_total_and_sound():
+    """No exception or RuntimeWarning escapes a decision over the whole
+    parameter space, and every conclusive verdict obeys the exact
+    exponent-sum rule."""
+    rng = random.Random(20240)
+    for _ in range(300):
+        drawn = [_fuzz_factor(rng) for _ in range(rng.randint(1, 4))]
+        p = P([d for d, _ in drawn])
+        exact_sum = sum((a for _, a in drawn), Fraction(0))
+        threshold = 2 if dist.support_class(p) == dist.STIELTJES else 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = dec.decide_product(p)
+        if v.conclusion != cr.INCONCLUSIVE:
+            expected = dec.M_DET if exact_sum <= threshold else dec.M_INDET
+            assert v.conclusion == expected, str(p)

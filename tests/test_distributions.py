@@ -212,6 +212,65 @@ class TestHazard:
         assert dist.hazard(d, 50.0) == pytest.approx(f50 / t50, rel=1e-8)
 
 
+class TestArrayKernels:
+    """The kernels take arrays; a scalar is the one-element case of the same
+    computation, so both agree bit for bit."""
+
+    ORDERS = np.arange(1, 201)
+    POINTS = np.concatenate([-np.geomspace(1e-2, 1e2, 9), [0.0], np.geomspace(1e-3, 1e4, 40)])
+    POSITIVE = np.geomspace(1e-3, 1e4, 40)
+
+    @staticmethod
+    def _same_bits(f, d, xs):
+        scalar = np.array([f(d, x) for x in xs])
+        assert scalar.tobytes() == f(d, xs).tobytes(), (f.__name__, str(d))
+
+    def test_scalar_equals_array(self, family_grid):
+        for d in family_grid:
+            self._same_bits(dist.log_moment, d, self.ORDERS)
+            self._same_bits(dist.log_tail, d, self.POINTS)
+            self._same_bits(dist.log_hazard, d, self.POINTS)
+            self._same_bits(dist.log_tail_scaled, d, self.POSITIVE)
+
+    def test_array_shape_kept(self):
+        d = dist.gg(1, 2, 3)
+        xs = self.POSITIVE.reshape(8, 5)
+        assert dist.log_tail(d, xs).shape == (8, 5)
+        assert dist.log_moment(d, np.array([[1, 2], [3, 4]])).shape == (2, 2)
+
+    @pytest.mark.parametrize("mu,lam", [(1e-3, 1e-3), (1e-3, 1e3), (1e3, 1e-3), (1e3, 1e3),
+                                        (1.0, 1.0), (0.03, 30.0), (30.0, 0.03), (7.5, 0.047)])
+    def test_ig_log_moment_matches_mpmath(self, mu, lam):
+        # reference: m_k = mu^k sum_(i<k) (k-1+i)! / (i! (k-1-i)!) (mu / (2 lam))^i
+        # at 50 digits, with the integer coefficients exact
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            q = mpmath.mpf(mu) / (2 * mpmath.mpf(lam))
+            ref = []
+            for k in range(1, 201):
+                total = mpmath.fsum(
+                    (math.factorial(k - 1 + i) // (math.factorial(i) * math.factorial(k - 1 - i)))
+                    * q ** i for i in range(k))
+                ref.append(float(k * mpmath.log(mu) + mpmath.log(total)))
+        got = dist.log_moment(dist.ig(mu, lam), self.ORDERS)
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-11
+
+    def test_ig_tail_cancellation_is_not_finite(self):
+        # at x = 1e12 the two IG tail terms cancel completely in double
+        # precision: the value is non-finite, not an exception
+        d = dist.ig(1, 1)
+        assert not math.isfinite(dist.log_tail(d, 1e12))
+        assert not math.isfinite(dist.log_hazard(d, 1e12))
+
+    def test_steep_hazard_in_closed_form(self):
+        # alpha x^beta reaches 1e20 on this grid; the hazard still follows
+        # its asymptote alpha beta x^(beta - 1) (1 + O(x^-beta))
+        d = dist.gg(1, 20 / 3, 1)
+        xs = np.geomspace(10.0, 1e3, 5)
+        expected = np.log(d.beta) + (d.beta - 1.0) * np.log(xs)
+        assert np.allclose(dist.log_hazard(d, xs), expected, rtol=0, atol=1e-6)
+
+
 class TestLinL:
     def test_exponential_identity(self):
         assert dist.lin_L(dist.exponential(), 4.0) == pytest.approx(4.0, rel=1e-14)
