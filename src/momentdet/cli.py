@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -155,9 +156,16 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _config(overrides: dict, args) -> decision.DecisionConfig:
-    k = args.k_horizon or overrides.get("k_horizon") or criteria.DEFAULT_K_HORIZON
+    """The decision settings from the flags, else the spec overrides, else
+    the defaults; an invalid value is rejected naming its field."""
+    k = args.k_horizon if args.k_horizon is not None else \
+        overrides.get("k_horizon", criteria.DEFAULT_K_HORIZON)
     x0 = args.x0 if args.x0 is not None else overrides.get("x0", 1.0)
-    return decision.DecisionConfig(k_horizon=int(k), x0=float(x0))
+    if type(k) is not int or k < criteria.MIN_K_HORIZON:
+        raise SpecError(f"k_horizon: must be an integer >= {criteria.MIN_K_HORIZON}, got {k!r}")
+    if type(x0) not in (int, float) or not (math.isfinite(x0) and x0 > 0):
+        raise SpecError(f"x0: must be a finite positive number, got {x0!r}")
+    return decision.DecisionConfig(k_horizon=k, x0=float(x0))
 
 
 # ---------------------------------------------------------------------------

@@ -452,11 +452,15 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
 def condition_L_check(obj, x0: float = 1.0, symmetric: Optional[bool] = None) -> CriterionReport:
     """Is L(x) = -x f'(x)/f(x) nondecreasing and unbounded beyond x0?
 
-    Accepts a DistributionSpec (closed-form L) or a log-density callable
-    (central differences).  The growth test accepts either a large absolute
-    climb or clear power-law growth of L on the last decade of the grid.
+    For a DistributionSpec this holds in closed form: L = (1-gamma) +
+    alpha beta x^beta for GG and DGG, L = 3/2 + lam x/(2 mu^2) - lam/(2x) for
+    IG, both increasing and unbounded.  Its grid values are kept as evidence.
+    A log-density callable is tested numerically (central differences): the
+    growth test accepts either a large absolute climb or clear power-law
+    growth of L on the last decade of the grid.
     """
-    if isinstance(obj, DistributionSpec):
+    closed_form = isinstance(obj, DistributionSpec)
+    if closed_form:
         L_of = lambda x: lin_L(obj, x)
         symmetric = obj.is_symmetric
         label = str(obj)
@@ -486,6 +490,10 @@ def condition_L_check(obj, x0: float = 1.0, symmetric: Optional[bool] = None) ->
         "symmetric": symmetric,
         "density": label,
     }
+    if closed_form:
+        return CriterionReport("lin", HOLDS, evidence,
+                               ("L is increasing and unbounded in closed form; "
+                                "the grid values are evidence only",))
     if not monotone:
         return CriterionReport("lin", FAILS, evidence,
                                ("L is not nondecreasing on the tested range",))

@@ -9,9 +9,10 @@ their sum is compared with the support-class threshold: 2 on the half line
 threshold the route's M-det rule applies; above it the route's M-indet rule
 applies once its side conditions are verified.  ``RULES`` maps each route
 (single factor, product, ratio of successive moments) and support class to
-its two rule codes; the ratio route has no M-indet rule.  The comparison is
-exact when every shape parameter is rational; otherwise a float sum within
-``BOUNDARY_BAND`` of the threshold is inconclusive.
+its two rule codes; the ratio route has no M-indet rule.  A single factor is
+decided as a product of one and differs from a product only in its row.
+The comparison is exact when every shape parameter is rational; otherwise a
+float sum within ``BOUNDARY_BAND`` of the threshold is inconclusive.
 
 Rule codes ("Theorem 5", "Corollary 1", ...) are this tool's rulebook
 identifiers; ``explain`` renders them together with the verified evidence.
@@ -33,8 +34,6 @@ from .criteria import (
     INCONCLUSIVE,
     CriterionReport,
     LogMomentSequence,
-    condition_L_check,
-    growth_exponent,
 )
 from .distributions import (
     DGG,
@@ -59,10 +58,6 @@ M_INDET = "M-indet"
 # float exponent sums within this distance of the threshold cannot be decided
 # without exact rationals
 BOUNDARY_BAND = 0.005
-
-# growth-estimate margin required before the fast-growth hypothesis is
-# accepted numerically
-GROWTH_MARGIN = criteria.THRESHOLD_BAND
 
 # headroom added to |gamma_t| when bounding the admissible log-log decay of
 # the tail ratio: a correct exponential order leaves at most a polynomial
@@ -227,33 +222,23 @@ def _verification_grid(x0: float) -> np.ndarray:
     return np.geomspace(x0, x0 * GRID_SPAN, GRID_POINTS)
 
 
-def _verify_decreasing(factors: Sequence[DistributionSpec], support: str,
-                       cfg: DecisionConfig) -> tuple[CriterionReport, float]:
-    """Condition (i): at least one (real-line factor, in the mixed case)
-    density eventually decreasing; returns the effective x0 as well."""
-    if support == MIXED:
-        candidates = [(i, d) for i, d in enumerate(factors) if d.family == DGG]
-    else:
-        candidates = list(enumerate(factors))
-    idx, chosen = min(candidates, key=lambda t: decreasing_from(t[1]))
-    x_dec = decreasing_from(chosen)
-    x0_eff = max(cfg.x0, 1.0, x_dec * (1.0 + 1e-12))
-    grid = _verification_grid(x0_eff)
-    vals = log_density(chosen, grid)
-    monotone = bool(np.all(np.diff(vals) <= 1e-12))
-    status = HOLDS if monotone else FAILS
-    report = CriterionReport(
+def _verify_decreasing(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
+    """Condition (i): the density of the chosen factor is nonincreasing on
+    the grid, which starts beyond the closed-form point where it begins to
+    decrease."""
+    vals = log_density(d, grid)
+    monotone = bool(np.all(np.isfinite(grid))) and bool(np.all(np.diff(vals) <= 1e-12))
+    return CriterionReport(
         criterion="density_decreasing",
-        status=status,
+        status=HOLDS if monotone else FAILS,
         evidence={
-            "factor_index": idx,
-            "factor": str(chosen),
-            "decreasing_from": x_dec,
-            "x0_effective": x0_eff,
+            "factor_index": index,
+            "factor": str(d),
+            "decreasing_from": decreasing_from(d),
+            "x0_effective": float(grid[0]),
         },
         notes=("one decreasing density is required; the verified factor is recorded",),
     )
-    return report, x0_eff
 
 
 def _fitted_constant(log_value: float) -> float:
@@ -262,10 +247,9 @@ def _fitted_constant(log_value: float) -> float:
     return sys.float_info.max if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
 
 
-def _verify_hazard_bound(d: DistributionSpec, index: int, x0: float) -> CriterionReport:
+def _verify_hazard_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
     """Condition (ii), hazard part: f/F-bar >= A/x on the grid, A fitted at
     the grid minimum of x * hazard(x)."""
-    grid = _verification_grid(x0)
     log_xh = log_hazard(d, grid) + np.log(grid)
     finite = bool(np.all(np.isfinite(log_xh)))
     a_fit = _fitted_constant(float(np.min(log_xh))) if finite else float("nan")
@@ -277,13 +261,13 @@ def _verify_hazard_bound(d: DistributionSpec, index: int, x0: float) -> Criterio
             "factor_index": index,
             "factor": str(d),
             "A": a_fit,
-            "x0": x0,
+            "x0": float(grid[0]),
             "grid_max": float(grid[-1]),
         },
     )
 
 
-def _verify_tail_bound(d: DistributionSpec, index: int, x0: float) -> CriterionReport:
+def _verify_tail_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
     """Condition (ii), tail part: F-bar(x) >= B x^g exp(-a x^b) with the
     family-native exponents.
 
@@ -293,7 +277,6 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float) -> CriterionR
     drives the slope to minus infinity.  B is fitted at the grid minimum.
     """
     a_t, b_t, g_t = tail_bound_params(d)
-    grid = _verification_grid(x0)
     log_ratio = log_tail_scaled(d, grid) - g_t * np.log(grid)
     finite = np.all(np.isfinite(log_ratio))
     if not finite:
@@ -313,7 +296,7 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float) -> CriterionR
             "alpha": a_t,
             "beta": b_t,
             "gamma": g_t,
-            "x0": x0,
+            "x0": float(grid[0]),
             "tail_slope": slope,
         },
         notes=("inequality verified on a geometric grid with fitted constants; "
@@ -323,52 +306,47 @@ def _verify_tail_bound(d: DistributionSpec, index: int, x0: float) -> CriterionR
 
 def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
                            cfg: DecisionConfig) -> list[CriterionReport]:
-    """Theorems 7, 10 and 11: one decreasing density, then the hazard and
-    tail envelopes of every factor."""
-    dec_report, x0_eff = _verify_decreasing(factors, support, cfg)
-    reports = [dec_report]
-    for i, d in enumerate(factors):
-        reports.append(_verify_hazard_bound(d, i, x0_eff))
-        reports.append(_verify_tail_bound(d, i, x0_eff))
+    """Theorems 2, 4, 7, 10 and 11: one (real-line factor, in the mixed case)
+    density eventually decreasing, then the hazard and tail envelopes of
+    every factor, all verified on one grid from the effective x0.
+
+    A grid point or value that overflows becomes inf or nan, which fails the
+    check that meets it.
+    """
+    if support == MIXED:
+        candidates = [(i, d) for i, d in enumerate(factors) if d.family == DGG]
+    else:
+        candidates = list(enumerate(factors))
+    idx, chosen = min(candidates, key=lambda t: decreasing_from(t[1]))
+    x0_eff = max(cfg.x0, 1.0, decreasing_from(chosen) * (1.0 + 1e-12))
+    with np.errstate(all="ignore"):
+        grid = _verification_grid(x0_eff)
+        reports = [_verify_decreasing(chosen, idx, grid)]
+        for i, d in enumerate(factors):
+            reports.append(_verify_hazard_bound(d, i, grid))
+            reports.append(_verify_tail_bound(d, i, grid))
     return reports
-
-
-def _single_side_conditions(d: DistributionSpec, growth: CriterionReport, threshold: float,
-                            cfg: DecisionConfig) -> list[CriterionReport]:
-    """Theorems 2 and 4: fast moment growth plus Condition L.  The real-line
-    theorem also needs a symmetric density, which every DGG factor has."""
-    required = threshold + GROWTH_MARGIN
-    fast_ok = growth.status == HOLDS and growth.evidence["a_hat"] >= required
-    fast = CriterionReport(
-        criterion="growth",
-        status=HOLDS if fast_ok else INCONCLUSIVE,
-        evidence={**growth.evidence, "required_at_least": required},
-        notes=("numeric surrogate for the fast-growth hypothesis",),
-    )
-    return [fast, condition_L_check(d, x0=cfg.x0)]
 
 
 # ---------------------------------------------------------------------------
 # the decision pipeline
 
 
-def _evidence(factors: Sequence[DistributionSpec], route: str, support: str,
-              cfg: DecisionConfig) -> list[CriterionReport]:
-    """Moment-side estimates recorded with every verdict of a route."""
-    if route == SINGLE:
-        return [growth_exponent(LogMomentSequence.from_distribution(factors[0], cfg.k_horizon))]
-    if route == RATIO:
-        parity = criteria.PARITY_ALL if support == STIELTJES else criteria.PARITY_EVEN
-        return [criteria.ratio_rate(LogMomentSequence.from_distribution(
-            d, cfg.k_horizon, parity=parity)) for d in factors]
-    return []
+def _ratio_rates(factors: Sequence[DistributionSpec], support: str,
+                 cfg: DecisionConfig) -> list[CriterionReport]:
+    """Estimated ratio rates, recorded as evidence with every ratio-route verdict."""
+    parity = criteria.PARITY_ALL if support == STIELTJES else criteria.PARITY_EVEN
+    return [criteria.ratio_rate(LogMomentSequence.from_distribution(
+        d, cfg.k_horizon, parity=parity)) for d in factors]
 
 
 def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
     """Compare the exponent sum with the threshold, then cite the route's
     rule from RULES: the M-det rule at or below it, the M-indet rule above it
-    once the route's side conditions hold."""
+    once the side conditions hold.  A product of one takes the SINGLE row."""
     factors = p.factors
+    if route == PRODUCT and len(factors) == 1:
+        route = SINGLE
     support = support_class(p)
     det_rule, indet_rule = RULES[route][support]
     # the ratio route uses the even-step rates 2/beta off the half line
@@ -383,7 +361,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         # exact rates are reported as rounded from their exact values
         exponents, total = [float(scale * e) for e in exact], float(exact_sum)
 
-    side = _evidence(factors, route, support, cfg)
+    side = _ratio_rates(factors, support, cfg) if route == RATIO else []
     caveats = [_MIXED_CAVEAT] if support == MIXED else []
     if det is None:
         rule, caveat = _BOUNDARY[route]
@@ -395,10 +373,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         conclusion, rule = INCONCLUSIVE, _RATIO_NOT_APPLICABLE
         caveats.append("rate sum exceeds 2; this route cannot prove indeterminacy")
     else:
-        if route == SINGLE:
-            side = _single_side_conditions(factors[0], side[0], threshold, cfg)
-        else:
-            side = _indet_side_conditions(factors, support, cfg)
+        side = _indet_side_conditions(factors, support, cfg)
         failed = [r.criterion + (f"[{r.evidence['factor_index']}]"
                                  if "factor_index" in r.evidence else "")
                   for r in side if not r.holds]
@@ -421,9 +396,8 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
 
 
 def decide_single(d: DistributionSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
-    """Verdict for one factor: growth at or below the case threshold gives
-    M-det; above it, fast growth plus the Lin condition gives M-indet."""
-    return _decide(ProductSpec([d]), SINGLE, cfg)
+    """Verdict for one factor, decided as a product of one."""
+    return decide_product(ProductSpec([d]), cfg)
 
 
 def decide_product(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
@@ -431,10 +405,9 @@ def decide_product(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verd
 
     Exponent sum at or below the support-class threshold proves M-det; above
     it, the per-factor hazard and tail envelopes plus one decreasing density
-    prove M-indet.  Anything unverified stays inconclusive.
+    prove M-indet (Theorems 2 and 4 for a single factor).  Anything
+    unverified stays inconclusive.
     """
-    if len(p.factors) == 1:
-        return decide_single(p.factors[0], cfg)
     return _decide(p, PRODUCT, cfg)
 
 
@@ -469,8 +442,7 @@ def explain(v: Verdict) -> str:
             detail = ", ".join(
                 f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}"
                 for key, val in r.evidence.items()
-                if key in ("a_hat", "r_hat", "A", "B", "factor", "classification",
-                           "climb", "power_slope"))
+                if key in ("r_hat", "A", "B", "factor"))
             lines.append(f"  - {r.criterion}: {r.status}" + (f" ({detail})" if detail else ""))
     for c in v.caveats:
         lines.append(f"caveat: {c}")

@@ -443,13 +443,17 @@ def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:
 
 
 def decreasing_from(d: DistributionSpec) -> float:
-    """Smallest x beyond which the density is nonincreasing (closed form)."""
+    """Smallest x beyond which the density is nonincreasing (closed form);
+    inf when that point overflows."""
     if d.family == IG:
         r = 1.5 * d.mu / d.lam
         return d.mu * (math.sqrt(1.0 + r * r) - r)
     if d.gamma <= 1.0:
         return 0.0
-    return ((d.gamma - 1.0) / (d.alpha * d.beta)) ** (1.0 / d.beta)
+    try:
+        return ((d.gamma - 1.0) / (d.alpha * d.beta)) ** (1.0 / d.beta)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

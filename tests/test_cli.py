@@ -142,6 +142,46 @@ class TestAnalyze:
         assert len(json.loads(out)["evidence"]["ladder"]) == 20
 
 
+class TestConfig:
+    @pytest.mark.parametrize("flags,field", [
+        (("--k-horizon", "0"), "k_horizon"),
+        (("--k-horizon", "10"), "k_horizon"),
+        (("--x0", "0"), "x0"),
+        (("--x0", "-5"), "x0"),
+        (("--x0", "nan"), "x0"),
+        (("--x0", "inf"), "x0"),
+    ])
+    @pytest.mark.parametrize("command", [("analyze",), ("criterion", "growth")])
+    def test_invalid_flag_named(self, exp_spec, capsys, command, flags, field):
+        code, out = run_cli(*command, exp_spec, *flags)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"k_horizon": "abc"}, "k_horizon"),
+        ({"k_horizon": 39}, "k_horizon"),
+        ({"k_horizon": 200.5}, "k_horizon"),
+        ({"x0": "1"}, "x0"),
+        ({"x0": -1}, "x0"),
+    ])
+    def test_invalid_override_named(self, tmp_path, capsys, overrides, field):
+        spec = write_spec(tmp_path, {"factors": [{"family": "exp"}], "overrides": overrides})
+        code, _ = run_cli("analyze", spec)
+        assert code == cli.EXIT_USAGE
+        assert f"{field}:" in capsys.readouterr().err
+
+    def test_valid_values_echoed(self, tmp_path):
+        spec = write_spec(tmp_path, {"factors": [{"family": "exp"}],
+                                     "overrides": {"k_horizon": 40, "x0": 2}})
+        code, out = run_cli("analyze", spec)
+        assert code == cli.EXIT_MDET
+        doc = json.loads(out)
+        assert (doc["k_horizon"], doc["x0"]) == (40, 2.0)
+        code, out = run_cli("analyze", spec, "--k-horizon", "60", "--x0", "3.5")
+        doc = json.loads(out)
+        assert (doc["k_horizon"], doc["x0"]) == (60, 3.5)
+
+
 class TestCriterion:
     def test_krein_counterexample(self):
         code, out = run_cli("criterion", "krein", "--counterexample", "stieltjes",
@@ -175,6 +215,13 @@ class TestCriterion:
     def test_lin_requires_single_factor(self, exp_normal_spec, capsys):
         code, _ = run_cli("criterion", "lin", exp_normal_spec)
         assert code == cli.EXIT_USAGE
+
+    def test_lin_on_slow_family_holds(self, tmp_path):
+        spec = write_spec(tmp_path, {"factors": [
+            {"family": "GG", "alpha": 0.655715, "beta": "1/23", "gamma": 0.116983}]})
+        code, out = run_cli("criterion", "lin", spec)
+        assert code == cli.EXIT_HOLDS
+        assert json.loads(out)["status"] == "holds"
 
     def test_krein_on_normal_fails_exit(self, tmp_path):
         spec = write_spec(tmp_path, {"factors": [{"family": "normal"}]})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -263,6 +264,17 @@ class TestConditionL:
         rep = cr.condition_L_check(dist.gg(1, "1/3", 1))
         assert rep.status == cr.HOLDS
         assert rep.evidence["power_slope"] == pytest.approx(1 / 3, abs=0.02)
+
+    @pytest.mark.parametrize("make", [dist.gg, dist.dgg])
+    def test_family_spec_holds_in_closed_form(self, make):
+        # L = (1-gamma) + alpha beta x^beta climbs too slowly for the grid
+        # test when beta is small, but it is increasing and unbounded
+        for alpha, gamma, q in itertools.product((0.1, 1, 10), (0.1, 1, 10),
+                                                 (2, 3, 5, 7, 10, 20, 30)):
+            rep = cr.condition_L_check(make(alpha, f"1/{q}", gamma))
+            assert rep.status == cr.HOLDS, (alpha, gamma, q)
+        rep = cr.condition_L_check(dist.gg(0.655715, "1/23", 0.116983))
+        assert rep.status == cr.HOLDS and rep.evidence["monotone"]
 
     def test_bounded_heavy_tail_fails(self):
         heavy = lambda x: np.log(4.0) - 5.0 * np.log1p(x)

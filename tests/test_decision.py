@@ -56,8 +56,47 @@ class TestDecideSingle:
         v = dec.decide_single(dist.gg(1, "1/3", 1))
         assert v.conclusion == dec.M_INDET
         assert "Theorem 2" in v.rule
-        lin = [r for r in v.side_conditions if r.criterion == "lin"]
-        assert lin and lin[0].holds
+        assert [r.criterion for r in v.side_conditions] == \
+            ["density_decreasing", "hazard_bound", "tail_bound"]
+        assert all(r.holds for r in v.side_conditions)
+
+    @pytest.mark.parametrize("d,theorem", [
+        (dist.gg(1, "1/7", 1), "Theorem 2"),
+        (dist.dgg(1, "1/25", 1), "Theorem 4"),
+        (dist.gg(1, "1/30", 1), "Theorem 2"),
+    ])
+    def test_slow_single_indet(self, d, theorem):
+        # the moment growth of beta = 1/7 .. 1/30 has not converged by K = 200,
+        # but the side conditions are those of a product of one
+        v = dec.decide_single(d)
+        assert v.conclusion == dec.M_INDET
+        assert v.rule.split("; ")[0] == theorem
+        assert v == dec.decide_product(P([d]))
+
+    def test_overflowing_decreasing_point_named(self):
+        # the density rises up to x ~ 1e335, past the largest float: the grid
+        # is not finite, so the checks fail by name instead of raising
+        d = dist.gg(1e-3, "1/50", 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = dec.decide_single(d)
+            dec.decide_product(P([d, EXP]))
+        assert v.conclusion == cr.INCONCLUSIVE
+        assert v.caveats == ("unverified: density_decreasing[0], hazard_bound[0], "
+                             "tail_bound[0]",)
+
+    @pytest.mark.parametrize("x0", [1e300, 1e306])
+    @pytest.mark.parametrize("factors", [[dist.gg(1, "1/3", 1)], [EXP, NORMAL],
+                                         [IG11, dist.ig(2, 1), EXP]])
+    def test_huge_x0_total(self, factors, x0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = dec.decide_product(P(factors), dec.DecisionConfig(x0=x0))
+        assert v.conclusion in (dec.M_INDET, cr.INCONCLUSIVE)
+        if x0 * dec.GRID_SPAN == math.inf:
+            # the grid overflows: the decreasing-density check fails by name
+            assert v.conclusion == cr.INCONCLUSIVE
+            assert "density_decreasing" in v.caveats[-1]
 
     def test_boundary_stieltjes_det(self):
         # a = 2 exactly is still determinate
@@ -141,6 +180,14 @@ class TestDecideProduct:
             expected = dec.M_DET if total <= 1 else dec.M_INDET
             assert v.conclusion == expected, betas
 
+    def test_one_grid_per_decision(self, monkeypatch):
+        calls = []
+        geomspace = np.geomspace
+        monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a) or geomspace(*a, **k))
+        v = dec.decide_product(P([IG11, dist.ig(2, 1), EXP]))
+        assert v.conclusion == dec.M_INDET
+        assert len(calls) == 1
+
     def test_indet_side_conditions_recorded(self):
         v = dec.decide_product(P([NORMAL, NORMAL, NORMAL]))
         assert v.conclusion == dec.M_INDET
@@ -165,7 +212,7 @@ class TestDecideProduct:
         # small alpha and beta = 1/3: the tail ratio decays polynomially for
         # the whole verification grid, which is not an envelope violation
         d = dist.gg(0.117, "1/3", 2.87)
-        rep = dec._verify_tail_bound(d, 0, 1.0)
+        rep = dec._verify_tail_bound(d, 0, dec._verification_grid(1.0))
         assert rep.holds
 
     def test_wrong_envelope_order_rejected(self, monkeypatch):
@@ -175,7 +222,7 @@ class TestDecideProduct:
         monkeypatch.setattr(dec, "tail_bound_params", lambda _: (0.5, 1.0, -1.0))
         wrong_scaled = lambda dd, x: dist.log_tail(dd, x) + 0.5 * x
         monkeypatch.setattr(dec, "log_tail_scaled", wrong_scaled)
-        rep = dec._verify_tail_bound(d, 0, 1.0)
+        rep = dec._verify_tail_bound(d, 0, dec._verification_grid(1.0))
         assert not rep.holds
 
     @pytest.mark.parametrize("beta", ["20/3", 10])
@@ -189,7 +236,7 @@ class TestDecideProduct:
     def test_fitted_constant_clamped(self):
         # ln(F-bar / envelope) stays near lam/mu ~ 1830 on the grid: B is the
         # largest float, still a valid constant for the lower bound
-        rep = dec._verify_tail_bound(dist.ig(0.39, 713), 0, 1.0)
+        rep = dec._verify_tail_bound(dist.ig(0.39, 713), 0, dec._verification_grid(1.0))
         assert rep.holds
         assert rep.evidence["B"] == sys.float_info.max * (1.0 - 1e-9)
 
@@ -263,7 +310,7 @@ RULE_CASES = [
     ("single", [dist.dgg(1, 1, 1)], "Theorem 3"),
     ("single", [dist.dgg(1, "1/2", 1)], "Theorem 4"),
     ("single", [FLOAT_HALF], "boundary"),
-    ("single", [dist.gg(1, "1/30", 1)], "side conditions unverified"),
+    ("single", [dist.gg(1e-3, "1/50", 100)], "side conditions unverified"),
     ("product", [EXP, EXP], "Theorem 5"),
     ("product", [IG11, dist.ig(2, 1), EXP], "Theorem 7"),
     ("product", [NORMAL, NORMAL], "Theorem 8"),
