@@ -69,7 +69,6 @@ from .verify import (
     mc_cross_check,
     quadrature_log_moment,
     quadrature_moment,
-    stirling_gamma,
     theta_split,
     verify_growth_bound,
 )

@@ -30,6 +30,7 @@ from .distributions import (
     dgg,
     exponential,
     gg,
+    half_normal,
     ig,
     log_density,
     log_moment,
@@ -47,11 +48,56 @@ EXIT_VERIFY_FAILED = 30
 
 SPEC_VERSION = 1
 
-CRITERION_NAMES = ("growth", "ratio", "hardy", "cramer", "carleman", "krein", "lin")
+# criteria computed from the product's moment sequence
+SEQUENCE_CRITERIA = {"growth": criteria.growth_exponent, "ratio": criteria.ratio_rate,
+                     "hardy": criteria.hardy_check, "cramer": criteria.cramer_check,
+                     "carleman": criteria.carleman_quantity}
+CRITERION_NAMES = (*SEQUENCE_CRITERIA, "krein", "lin")
 
 
 class SpecError(ValueError):
     """Unusable spec file; the message names the offending field."""
+
+
+# ---------------------------------------------------------------------------
+# settings
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    return lambda v: type(v) is int and lo <= v <= hi
+
+
+# name -> (default, check, requirement).  Each setting comes from its flag,
+# else the spec's overrides, else the default; these are the only override keys.
+SETTINGS = {
+    "k_horizon": (decision.DEFAULT_CONFIG.k_horizon, _int_in(criteria.MIN_K_HORIZON),
+                  f"an integer >= {criteria.MIN_K_HORIZON}"),
+    "x0": (decision.DEFAULT_CONFIG.x0, lambda v: _finite(v) and v > 0,
+           "a finite positive number"),
+    "seed": (0, _int_in(0), "a nonnegative integer"),
+    "mc": (10 ** 6, _int_in(verify_mod.MC_MIN_SAMPLES),
+           f"an integer >= {verify_mod.MC_MIN_SAMPLES}"),
+    "kmax": (4, _int_in(1, verify_mod.MC_KMAX), f"an integer from 1 to {verify_mod.MC_KMAX}"),
+    "schedule": (None, lambda v: v is None or (type(v) is list and all(map(_finite, v))),
+                 "a list of finite numbers"),
+}
+
+
+def _settings(args, overrides: dict) -> dict:
+    """Every setting, checked once; an invalid value is rejected naming its field."""
+    values = {}
+    for name, (default, valid, need) in SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = overrides.get(name, default)
+        if not valid(value):
+            raise SpecError(f"{name}: must be {need}, got {value!r}")
+        values[name] = value
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +132,7 @@ def _parse_factor(obj: dict, where: str) -> DistributionSpec:
         if tag in ("normal", "gaussian"):
             return std_normal()
         if tag in ("halfnormal", "half-normal", "half_normal"):
-            return gg("1/2", 2, 1)
+            return half_normal()
     except SpecError:
         raise
     except ValueError as e:
@@ -116,56 +162,35 @@ def load_spec(path: str) -> tuple[ProductSpec, dict]:
     overrides = doc.get("overrides", {})
     if not isinstance(overrides, dict):
         raise SpecError("overrides: must be an object")
-    known = {"k_horizon", "x0", "seed", "mc", "kmax", "schedule"}
-    unknown = set(overrides) - known
+    unknown = set(overrides) - SETTINGS.keys()
     if unknown:
         raise SpecError(f"overrides: unknown key(s) {sorted(unknown)} "
-                        f"(known: {sorted(known)})")
+                        f"(known: {sorted(SETTINGS)})")
     return ProductSpec(parsed), overrides
 
 
-def _echo_factor(d: DistributionSpec) -> dict:
-    if d.family == IG:
-        return {"family": IG, "mu": d.mu, "lambda": d.lam}
-    out = {"family": d.family, "alpha": d.alpha, "beta": d.beta, "gamma": d.gamma}
-    if d.beta_exact is not None:
-        out["beta_exact"] = str(d.beta_exact)
-    return out
+# ---------------------------------------------------------------------------
+# reports
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _echo(product: ProductSpec) -> dict:
+    def factor(d: DistributionSpec) -> dict:
+        if d.family == IG:
+            return {"family": IG, "mu": d.mu, "lambda": d.lam}
+        out = {"family": d.family, "alpha": d.alpha, "beta": d.beta, "gamma": d.gamma}
+        if d.beta_exact is not None:
+            out["beta_exact"] = str(d.beta_exact)
+        return out
+    return {"factors": [factor(d) for d in product.factors]}
 
 
-def _emit(report: dict, pretty: bool) -> None:
-    report = _jsonable(report)
-    if pretty:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _config(overrides: dict, args) -> decision.DecisionConfig:
-    """The decision settings from the flags, else the spec overrides, else
-    the defaults; an invalid value is rejected naming its field."""
-    k = args.k_horizon if args.k_horizon is not None else \
-        overrides.get("k_horizon", criteria.DEFAULT_K_HORIZON)
-    x0 = args.x0 if args.x0 is not None else overrides.get("x0", 1.0)
-    if type(k) is not int or k < criteria.MIN_K_HORIZON:
-        raise SpecError(f"k_horizon: must be an integer >= {criteria.MIN_K_HORIZON}, got {k!r}")
-    if type(x0) not in (int, float) or not (math.isfinite(x0) and x0 > 0):
-        raise SpecError(f"x0: must be a finite positive number, got {x0!r}")
-    return decision.DecisionConfig(k_horizon=k, x0=float(x0))
+def _emit(args, inputs: dict, body: dict) -> None:
+    """Write the common header and the command's fields; NumPy scalars as Python values."""
+    report = {"tool": "momentdet", "tool_version": __version__, "command": args.command,
+              "input": inputs, **body}
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    sys.stdout.write(json.dumps(report, sort_keys=True, default=lambda o: o.item(),
+                                **layout) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +199,15 @@ def _config(overrides: dict, args) -> decision.DecisionConfig:
 
 def cmd_analyze(args) -> int:
     product, overrides = load_spec(args.spec)
-    cfg = _config(overrides, args)
+    s = _settings(args, overrides)
+    cfg = decision.DecisionConfig(k_horizon=s["k_horizon"], x0=float(s["x0"]))
     verdict = decision.decide_product(product, cfg)
-    report = {
-        "tool": "momentdet",
-        "tool_version": __version__,
-        "command": "analyze",
-        "input": {"factors": [_echo_factor(d) for d in product.factors]},
-        "k_horizon": cfg.k_horizon,
-        "x0": cfg.x0,
-        **verdict.to_dict(),
-    }
+    report = {"k_horizon": cfg.k_horizon, "x0": cfg.x0, **verdict.to_dict()}
     if args.ratio:
         report["ratio_route"] = decision.ratio_route(product, cfg).to_dict()
     if args.pretty:
         report["explanation"] = decision.explain(verdict).split("\n")
-    _emit(report, args.pretty)
+    _emit(args, _echo(product), report)
     return {decision.M_DET: EXIT_MDET,
             decision.M_INDET: EXIT_MINDET}.get(verdict.conclusion, EXIT_INCONCLUSIVE)
 
@@ -198,56 +216,37 @@ def cmd_analyze(args) -> int:
 # criterion
 
 
-def _criterion_report(args, product: Optional[ProductSpec], overrides: dict):
+def _criterion_report(args, product: Optional[ProductSpec], s: dict):
     name = args.name
-    cfg = _config(overrides, args)
-    if name in ("growth", "ratio", "hardy", "cramer", "carleman"):
-        seq = LogMomentSequence.from_product(product, cfg.k_horizon)
-        fn = {"growth": criteria.growth_exponent, "ratio": criteria.ratio_rate,
-              "hardy": criteria.hardy_check, "cramer": criteria.cramer_check,
-              "carleman": criteria.carleman_quantity}[name]
-        return fn(seq)
-    if name == "krein":
-        schedule = overrides.get("schedule")
-        if args.counterexample:
-            cd = verify_mod.build_counterexample(args.counterexample, args.delta)
-            return criteria.krein_quantity(cd.log_density, cd.support,
-                                           schedule=schedule, x0=cfg.x0)
-        if len(product.factors) != 1:
-            raise SpecError("the krein criterion needs a single-factor spec "
-                            "(no closed-form product density)")
+    if name in SEQUENCE_CRITERIA:
+        return SEQUENCE_CRITERIA[name](LogMomentSequence.from_product(product, s["k_horizon"]))
+    if args.counterexample:
+        cd = verify_mod.build_counterexample(args.counterexample, args.delta)
+        log_dens, support = cd.log_density, cd.support
+    elif len(product.factors) != 1:
+        raise SpecError(f"the {name} criterion needs a single-factor spec "
+                        "(no closed-form product density)")
+    elif name == "lin":
+        return criteria.condition_L_check(product.factors[0], x0=s["x0"])
+    else:
         d = product.factors[0]
-        return criteria.krein_quantity(lambda x: log_density(d, x), d.support,
-                                       schedule=schedule, x0=cfg.x0)
-    if name == "lin":
-        if len(product.factors) != 1:
-            raise SpecError("the lin criterion needs a single-factor spec")
-        return criteria.condition_L_check(product.factors[0], x0=cfg.x0)
-    raise SpecError(f"unknown criterion {name!r} (known: {', '.join(CRITERION_NAMES)})")
+        log_dens, support = (lambda x: log_density(d, x)), d.support
+    return criteria.krein_quantity(log_dens, support, schedule=s["schedule"], x0=s["x0"])
 
 
 def cmd_criterion(args) -> int:
     if args.counterexample:
-        product, overrides = None, {}
         if args.name != "krein":
             raise SpecError("--counterexample applies to the krein criterion only")
+        product, overrides = None, {}
+        inputs = {"counterexample": args.counterexample, "delta": args.delta}
+    elif not args.spec:
+        raise SpecError("a spec file is required unless --counterexample is given")
     else:
-        if not args.spec:
-            raise SpecError("a spec file is required unless --counterexample is given")
         product, overrides = load_spec(args.spec)
-    rep = _criterion_report(args, product, overrides)
-    report = {
-        "tool": "momentdet",
-        "tool_version": __version__,
-        "command": "criterion",
-        "name": args.name,
-        **rep.to_dict(),
-    }
-    if product is not None:
-        report["input"] = {"factors": [_echo_factor(d) for d in product.factors]}
-    else:
-        report["input"] = {"counterexample": args.counterexample, "delta": args.delta}
-    _emit(report, args.pretty)
+        inputs = _echo(product)
+    rep = _criterion_report(args, product, _settings(args, overrides))
+    _emit(args, inputs, {"name": args.name, **rep.to_dict()})
     return {criteria.HOLDS: EXIT_HOLDS,
             criteria.FAILS: EXIT_FAILS}.get(rep.status, EXIT_INCONCLUSIVE)
 
@@ -258,9 +257,7 @@ def cmd_criterion(args) -> int:
 
 def cmd_verify(args) -> int:
     product, overrides = load_spec(args.spec)
-    seed = args.seed if args.seed is not None else overrides.get("seed", 0)
-    n = args.mc or int(overrides.get("mc", 10 ** 6))
-    kmax = args.kmax or int(overrides.get("kmax", 4))
+    s = _settings(args, overrides)
     failures = []
 
     oracle_rows = []
@@ -277,27 +274,22 @@ def cmd_verify(args) -> int:
         if not ok:
             failures.append(f"oracle disagreement on factor {i} ({worst:.3g})")
 
-    mc = verify_mod.mc_cross_check(product, seed, n, kmax)
+    mc = verify_mod.mc_cross_check(product, s["seed"], s["mc"], s["kmax"])
     for row in mc.rows:
         if not row.ok:
             failures.append(f"Monte Carlo moment k={row.k} off by {row.z:.2f} standard errors")
 
-    report = {
-        "tool": "momentdet",
-        "tool_version": __version__,
-        "command": "verify",
-        "input": {"factors": [_echo_factor(d) for d in product.factors]},
-        "seed": seed,
-        "n": n,
-        "kmax": kmax,
+    _emit(args, _echo(product), {
+        "seed": s["seed"],
+        "n": s["mc"],
+        "kmax": s["kmax"],
         "oracle": oracle_rows,
         "monte_carlo": [{"k": r.k, "empirical": r.empirical, "analytic": r.analytic,
                          "std_error": r.std_error, "z": r.z, "ok": r.ok}
                         for r in mc.rows],
         "failures": failures,
         "ok": not failures,
-    }
-    _emit(report, args.pretty)
+    })
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -313,19 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"momentdet {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--pretty", action="store_true", help="indented JSON output")
-        p.add_argument("--k-horizon", type=int, default=None, dest="k_horizon",
-                       help="moment horizon K (default 200)")
-        p.add_argument("--x0", type=float, default=None,
-                       help="tail threshold for side-condition verification (default 1)")
-
     pa = sub.add_parser("analyze", help="decide M-det / M-indet for a product spec")
     pa.add_argument("spec", help="JSON product spec file")
     pa.add_argument("--ratio", action="store_true",
                     help="also run the moment-ratio determinacy route")
-    common(pa)
-    pa.set_defaults(fn=cmd_analyze)
 
     pc = sub.add_parser("criterion", help="run one named criterion")
     pc.add_argument("name", choices=CRITERION_NAMES)
@@ -335,16 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use a built-in witness density instead of a spec")
     pc.add_argument("--delta", type=float, default=2.0,
                     help="log-modulation exponent of the witness density (> 1)")
-    common(pc)
-    pc.set_defaults(fn=cmd_criterion)
 
     pv = sub.add_parser("verify", help="oracle agreement and Monte Carlo cross-check")
     pv.add_argument("spec", help="JSON product spec file")
     pv.add_argument("--mc", type=int, default=None, help="Monte Carlo sample size")
     pv.add_argument("--seed", type=int, default=None, help="sampler seed")
     pv.add_argument("--kmax", type=int, default=None, help="highest moment order checked")
-    common(pv)
-    pv.set_defaults(fn=cmd_verify)
+    for p, fn in ((pa, cmd_analyze), (pc, cmd_criterion), (pv, cmd_verify)):
+        p.add_argument("--pretty", action="store_true", help="indented JSON output")
+        if p is not pv:
+            p.add_argument("--k-horizon", type=int, default=None, dest="k_horizon",
+                           help=f"moment horizon K (default {SETTINGS['k_horizon'][0]})")
+            p.add_argument("--x0", type=float, default=None,
+                           help="tail threshold for side-condition verification "
+                                f"(default {SETTINGS['x0'][0]:g})")
+        p.set_defaults(fn=fn)
     return ap
 
 

@@ -249,11 +249,12 @@ def _fitted_constant(log_value: float) -> float:
 
 def _verify_hazard_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
     """Condition (ii), hazard part: f/F-bar >= A/x on the grid, A fitted at
-    the grid minimum of x * hazard(x)."""
+    the grid minimum of x * hazard(x).  As for B in the tail bound, a finite
+    ln A is enough: when A underflows, a note gives ln A."""
     log_xh = log_hazard(d, grid) + np.log(grid)
-    finite = bool(np.all(np.isfinite(log_xh)))
-    a_fit = _fitted_constant(float(np.min(log_xh))) if finite else float("nan")
-    ok = finite and a_fit > 0.0
+    ok = bool(np.all(np.isfinite(log_xh)))
+    log_a = float(np.min(log_xh)) if ok else float("nan")
+    a_fit = _fitted_constant(log_a)
     return CriterionReport(
         criterion="hazard_bound",
         status=HOLDS if ok else FAILS,
@@ -264,6 +265,7 @@ def _verify_hazard_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> C
             "x0": float(grid[0]),
             "grid_max": float(grid[-1]),
         },
+        notes=(f"A underflows to 0; ln A = {log_a!r}",) if a_fit == 0.0 else (),
     )
 
 

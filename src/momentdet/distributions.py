@@ -33,6 +33,8 @@ ParamLike = Union[int, float, str, Fraction]
 # round-trip, so 0.5 becomes 1/2 but 0.500000001 stays a plain float.
 _SNAP_MAX_DEN = 1000
 _SNAP_REL_TOL = 1e-12
+# relative step of the central difference in lin_L_numeric
+LIN_REL_STEP = 1e-5
 
 
 class SupportError(ValueError):
@@ -472,10 +474,10 @@ def lin_L(d: DistributionSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def lin_L_numeric(log_dens, x, rel_step: float = 1e-5):
+def lin_L_numeric(log_dens, x):
     """Finite-difference L(x) = -x (d/dx) ln f(x) for composed densities."""
     x = np.asarray(x, dtype=float)
-    h = np.maximum(x * rel_step, 1e-12)
+    h = np.maximum(x * LIN_REL_STEP, 1e-12)
     out = -x * (log_dens(x + h) - log_dens(x - h)) / (2.0 * h)
     return float(out) if out.ndim == 0 else out
 

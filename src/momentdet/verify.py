@@ -36,6 +36,14 @@ HAMBURGER_CASE = "hamburger"
 # in scope, so the discarded mass is < e^-80 of the estimate (< 1e-12 easily).
 _LOG_CUTOFF = 80.0
 
+# Monte Carlo: fewest samples for which the standard errors mean anything,
+# highest usable moment order, and the pass band in standard errors
+MC_MIN_SAMPLES = 10 ** 5
+MC_KMAX = 8
+MC_SIGMAS = 4.0
+# dominating_threshold searches u = ln x0 up to this value
+THRESHOLD_U_MAX = 5000.0
+
 
 class QuadratureError(RuntimeError):
     """Quadrature did not converge; carries the partial estimate."""
@@ -302,16 +310,16 @@ def stirling_gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * x ** (x - 0.5) * math.exp(-x)
 
 
-def dominating_threshold(b: float, delta: float, u_max: float = 5000.0) -> Optional[float]:
+def dominating_threshold(b: float, delta: float) -> Optional[float]:
     """Smallest u0 = ln x0 with sqrt(x) > x^(1/b) (1 + |ln x|^delta) for all ln x >= u0.
 
     Diagnostic for the growth-bound derivation; None if no threshold below
-    e^u_max exists (the threshold grows explosively as b drops toward 2).
+    e^THRESHOLD_U_MAX exists (the threshold grows explosively as b drops toward 2).
     """
     if not b > 2.0:
         return None
     gap = 0.5 - 1.0 / b
-    us = np.linspace(1.0, u_max, 20000)
+    us = np.linspace(1.0, THRESHOLD_U_MAX, 20000)
     ok = gap * us > np.log1p(us ** delta)
     idx = np.nonzero(~ok)[0]
     if len(idx) == 0:
@@ -343,14 +351,12 @@ class MCReport:
     ok: bool
 
 
-def mc_cross_check(p: ProductSpec, seed, n: int, kmax: int = 4, sigmas: float = 4.0) -> MCReport:
-    """Empirical product moments versus the analytic ones, within ``sigmas`` SEs.
-
-    Failures are reported, never raised.
-    """
-    if kmax > 8:
-        raise ValueError("kmax above 8 is outside the Monte Carlo reach")
-    if n < 10 ** 5:
+def mc_cross_check(p: ProductSpec, seed, n: int, kmax: int = 4) -> MCReport:
+    """Empirical product moments versus the analytic ones, within MC_SIGMAS
+    standard errors; failures are reported, never raised."""
+    if not 1 <= kmax <= MC_KMAX:
+        raise ValueError(f"kmax must be from 1 to {MC_KMAX} (the Monte Carlo reach)")
+    if n < MC_MIN_SAMPLES:
         raise ValueError("n must be at least 1e5 for the standard errors to mean anything")
     z = sample_product(p, seed, n)
     rows = []
@@ -362,5 +368,5 @@ def mc_cross_check(p: ProductSpec, seed, n: int, kmax: int = 4, sigmas: float = 
         target = 0.0 if lt == -math.inf else math.exp(lt)
         zscore = (emp - target) / se if se > 0 else math.inf
         rows.append(MCMomentRow(k=k, empirical=emp, analytic=target,
-                                std_error=se, z=zscore, ok=abs(zscore) <= sigmas))
+                                std_error=se, z=zscore, ok=abs(zscore) <= MC_SIGMAS))
     return MCReport(rows=tuple(rows), n=n, seed=seed, ok=all(r.ok for r in rows))

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import sys
 from contextlib import redirect_stdout
 
@@ -182,6 +183,42 @@ class TestConfig:
         assert (doc["k_horizon"], doc["x0"]) == (60, 3.5)
 
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"mc": 100000.7}, "mc"),
+        ({"mc": "1e6"}, "mc"),
+        ({"mc": 0}, "mc"),
+        ({"kmax": True}, "kmax"),
+        ({"kmax": 0}, "kmax"),
+        ({"kmax": 9}, "kmax"),
+        ({"schedule": 5}, "schedule"),
+        ({"schedule": ["a", "b", "c", "d", "e", "f"]}, "schedule"),
+    ])
+    @pytest.mark.parametrize("command", [("verify",), ("criterion", "krein")])
+    def test_invalid_setting_named_by_every_command(self, tmp_path, capsys, command,
+                                                     overrides, field):
+        # the spec is one document: every command checks all six settings
+        spec = write_spec(tmp_path, {"factors": [{"family": "exp"}], "overrides": overrides})
+        code, out = run_cli(*command, spec)
+        assert code == cli.EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert f"{field}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,field", [(("--mc", "0"), "mc"), (("--kmax", "0"), "kmax")])
+    def test_verify_zero_flag_rejected(self, exp_spec, capsys, flags, field):
+        code, out = run_cli("verify", exp_spec, *flags)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"{field}:" in capsys.readouterr().err
+
+    def test_verify_takes_no_decision_flags(self, exp_spec):
+        code, out = run_cli("verify", exp_spec, "--x0", "2")
+        assert code == cli.EXIT_USAGE and out == ""
+        _, out = run_cli("verify", "--help")
+        assert "--x0" not in out and "--k-horizon" not in out
+
+
 class TestCriterion:
     def test_krein_counterexample(self):
         code, out = run_cli("criterion", "krein", "--counterexample", "stieltjes",
@@ -220,6 +257,14 @@ class TestCriterion:
         spec = write_spec(tmp_path, {"factors": [
             {"family": "GG", "alpha": 0.655715, "beta": "1/23", "gamma": 0.116983}]})
         code, out = run_cli("criterion", "lin", spec)
+        assert code == cli.EXIT_HOLDS
+        assert json.loads(out)["status"] == "holds"
+
+    def test_lin_family_overflowing_grid_holds(self, tmp_path):
+        # L = 1 + 5 x^5 overflows on the grid from 1e100; the status is closed form
+        spec = write_spec(tmp_path, {"factors": [
+            {"family": "GG", "alpha": 1, "beta": 5, "gamma": 1}]})
+        code, out = run_cli("criterion", "lin", spec, "--x0", "1e100")
         assert code == cli.EXIT_HOLDS
         assert json.loads(out)["status"] == "holds"
 
@@ -281,3 +326,21 @@ class TestParser:
     def test_unknown_criterion_choice(self, exp_spec):
         code, _ = run_cli("criterion", "bogus", exp_spec)
         assert code == cli.EXIT_USAGE
+
+
+GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden"
+
+
+class TestGoldenBytes:
+    """Report bytes pinned from an earlier release of the CLI."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("analyze", ("analyze", "product.json")),
+        ("analyze_ratio_pretty", ("analyze", "--ratio", "--pretty", "product.json")),
+        ("criterion_growth", ("criterion", "growth", "product.json")),
+        ("verify", ("verify", "light.json")),
+    ])
+    def test_report_bytes_unchanged(self, name, argv):
+        *head, spec = argv
+        _, out = run_cli(*head, str(GOLDEN / spec))
+        assert out == (GOLDEN / f"{name}.out").read_text()

@@ -151,6 +151,15 @@ class TestDecideProduct:
         assert "Theorem 7" in v.rule and "Corollary 2" in v.rule
         assert all(r.holds for r in v.side_conditions)
 
+    def test_underflowing_hazard_constant_still_holds(self):
+        # x h(x) is about e^-72125 on the grid: A underflows, ln A is finite
+        v = dec.decide_product(P([dist.gg(1e-3, "1/50", 100), EXP]))
+        assert v.conclusion == dec.M_INDET
+        assert v.rule == "Theorem 7; Corollary 1"
+        hazard = v.side_conditions[1]
+        assert hazard.criterion == "hazard_bound" and hazard.holds
+        assert hazard.evidence["A"] == 0.0 and "ln A = -72125" in hazard.notes[0]
+
     def test_exp_normal_indet(self):
         v = dec.decide_product(P([EXP, NORMAL]))
         assert v.conclusion == dec.M_INDET

@@ -227,6 +227,12 @@ class TestMCCrossCheck:
         with pytest.raises(ValueError, match="n must"):
             ver.mc_cross_check(p, 1, 10_000, kmax=4)
 
+    def test_kmax_below_one_rejected(self):
+        # zero rows would be a pass that checks nothing
+        p = dist.ProductSpec([dist.exponential()])
+        with pytest.raises(ValueError, match="kmax"):
+            ver.mc_cross_check(p, 1, 200_000, kmax=0)
+
     def test_failures_reported_not_raised(self):
         # deliberately wrong analytic target cannot happen through the API, so
         # check the report shape instead: z-scores and flags are populated
