@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .distributions import (
@@ -380,6 +379,8 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
     increments mean infinite.  Status ``holds`` means finite, the
     indeterminacy-side condition (sufficient only together with regularity).
     """
+    from scipy.integrate import quad
+
     if case not in (STIELTJES, HAMBURGER):
         raise ValueError(f"case must be {STIELTJES!r} or {HAMBURGER!r}")
     rungs = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE

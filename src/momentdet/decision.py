@@ -70,6 +70,9 @@ GRID_POINTS = 60
 GRID_SPAN = 1e3
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# a fitted constant that underflows to 0 keeps its log in a note that starts
+# with this prefix (formatted with "A" or "B") and ends with repr(ln value)
+_UNDERFLOW_NOTE = "{0} underflows to 0; ln {0} = "
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,12 @@ def _verify_decreasing(d: DistributionSpec, index: int, grid: np.ndarray) -> Cri
     )
 
 
+def _underflowed_log(r: CriterionReport, name: str) -> float:
+    """ln of the fitted constant ``name`` of ``r``, read from its underflow note."""
+    prefix = _UNDERFLOW_NOTE.format(name)
+    return next(float(n[len(prefix):]) for n in r.notes if n.startswith(prefix))
+
+
 def _fitted_constant(log_value: float) -> float:
     """exp(log_value), clamped at the largest float.  A fitted constant enters
     a lower bound, so any smaller positive value satisfies it as well."""
@@ -265,7 +274,7 @@ def _verify_hazard_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> C
             "x0": float(grid[0]),
             "grid_max": float(grid[-1]),
         },
-        notes=(f"A underflows to 0; ln A = {log_a!r}",) if a_fit == 0.0 else (),
+        notes=(_UNDERFLOW_NOTE.format("A") + repr(log_a),) if a_fit == 0.0 else (),
     )
 
 
@@ -287,7 +296,8 @@ def _verify_tail_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> Cri
         span = math.log(grid[-1]) - math.log(grid[-6])
         slope = float(log_ratio[-1] - log_ratio[-6]) / span
         ok = slope >= -(abs(g_t) + TAIL_SLOPE_HEADROOM)
-        b_fit = _fitted_constant(float(np.min(log_ratio))) * (1.0 - 1e-9)
+        log_b = float(np.min(log_ratio))
+        b_fit = _fitted_constant(log_b) * (1.0 - 1e-9)
     return CriterionReport(
         criterion="tail_bound",
         status=HOLDS if ok else FAILS,
@@ -302,7 +312,8 @@ def _verify_tail_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> Cri
             "tail_slope": slope,
         },
         notes=("inequality verified on a geometric grid with fitted constants; "
-               "the theorems only require existence",),
+               "the theorems only require existence",)
+        + ((_UNDERFLOW_NOTE.format("B") + repr(log_b),) if b_fit == 0.0 else ()),
     )
 
 
@@ -441,10 +452,13 @@ def explain(v: Verdict) -> str:
     if v.side_conditions:
         lines.append("side conditions:")
         for r in v.side_conditions:
+            shown = [(f"ln {key}", _underflowed_log(r, key))
+                     if key in ("A", "B") and val == 0.0 else (key, val)
+                     for key, val in r.evidence.items()
+                     if key in ("r_hat", "A", "B", "factor")]
             detail = ", ".join(
                 f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}"
-                for key, val in r.evidence.items()
-                if key in ("r_hat", "A", "B", "factor"))
+                for key, val in shown)
             lines.append(f"  - {r.criterion}: {r.status}" + (f" ({detail})" if detail else ""))
     for c in v.caveats:
         lines.append(f"caveat: {c}")

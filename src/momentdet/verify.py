@@ -9,12 +9,11 @@ moment order gets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .distributions import (
     HAMBURGER,
@@ -35,6 +34,10 @@ HAMBURGER_CASE = "hamburger"
 # the decay rate past the cutoff is at least 1 per unit u for every density
 # in scope, so the discarded mass is < e^-80 of the estimate (< 1e-12 easily).
 _LOG_CUTOFF = 80.0
+# largest u for which e^u is a finite float
+_U_MAX = math.log(sys.float_info.max)
+
+_LOG_DENS_CONTRACT = "log_dens must take an array of x and return an array of the same shape"
 
 # Monte Carlo: fewest samples for which the standard errors mean anything,
 # highest usable moment order, and the pass band in standard errors
@@ -53,16 +56,30 @@ class QuadratureError(RuntimeError):
         self.partial = partial
 
 
-def _log_integral(g: Callable[[float], float], lo: float = -60.0, hi: float = 60.0) -> float:
-    """ln of the integral of exp(g(u)) du over the real line.
+def _log_integral(log_dens: Callable, power: float, sign: float = 1.0) -> float:
+    """ln of the integral of exp(power u + log_dens(sign e^u)) du over the real
+    line, that is ln of the integral of |x|^(power-1) f(x) over sign x > 0.
 
-    g must be unimodal-ish with g -> -inf on both sides; the scan window is
-    widened automatically if the peak sits near an edge.
+    The integrand must be unimodal-ish and tend to -inf on both sides.  The
+    scan window, widened while the peak sits at an edge, is one array call of
+    ``log_dens``, which must take an array of x and return ln f of the same
+    shape.  The peak search, the cutoff walk and ``quad`` use the scalar
+    integrand, so the integral never depends on how ``log_dens`` handles
+    arrays.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+
+    def g(u):
+        return power * u + log_dens(sign * math.exp(u))
+
+    lo, hi = -60.0, 60.0
     i = 0
     for _ in range(40):
+        if hi > _U_MAX:
+            raise OverflowError(f"scan window reaches u = {hi:g}, where e^u overflows")
         us = np.linspace(lo, hi, 2001)
-        gs = np.array([g(u) for u in us])
+        gs = power * us + _log_dens_on_array(log_dens, sign * np.exp(us))
         i = int(np.argmax(gs))
         if 0 < i < len(us) - 1:
             break
@@ -93,38 +110,56 @@ def _log_integral(g: Callable[[float], float], lo: float = -60.0, hi: float = 60
     return m + math.log(total)
 
 
+def _log_dens_on_array(log_dens: Callable, x: np.ndarray) -> np.ndarray:
+    """log_dens(x) for an array x, held to the array contract."""
+    try:
+        out = log_dens(x)
+    except (TypeError, ValueError) as e:  # scalar-only code fails on an array
+        raise ValueError(_LOG_DENS_CONTRACT) from e
+    if np.shape(out) != x.shape:
+        raise ValueError(f"{_LOG_DENS_CONTRACT}; got shape {np.shape(out)} for {x.shape}")
+    return out
+
+
 def quadrature_log_moment(log_dens: Callable, support: str, k: int) -> float:
     """ln of the k-th moment by adaptive quadrature (k >= 0).
 
     For the real line this is the absolute-moment form and therefore valid
     for even k (and k = 0) only; odd real-line moments go through
     ``quadrature_moment``.
+
+    ``log_dens`` must take an array of x and return ln f of the same shape
+    (``distributions.log_density`` and ``CounterexampleDensity.log_density``
+    do); otherwise ``ValueError`` names this contract.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if support == STIELTJES:
-        g = lambda u: (k + 1) * u + log_dens(math.exp(u))
-        return _log_integral(g)
+        return _log_integral(log_dens, k + 1)
     if support == HAMBURGER:
         if k % 2 == 1:
             raise ValueError("odd real-line moments are signed; use quadrature_moment")
-        gp = lambda u: (k + 1) * u + log_dens(math.exp(u))
-        gm = lambda u: (k + 1) * u + log_dens(-math.exp(u))
-        return float(np.logaddexp(_log_integral(gp), _log_integral(gm)))
+        return float(np.logaddexp(_log_integral(log_dens, k + 1),
+                                  _log_integral(log_dens, k + 1, -1.0)))
     raise ValueError(f"unknown support {support!r}")
 
 
 def quadrature_moment(log_dens: Callable, support: str, k: int) -> float:
-    """The k-th moment by adaptive quadrature; tail mass bound < 1e-12 relative."""
+    """The k-th moment by adaptive quadrature; tail mass bound < 1e-12 relative.
+
+    ``log_dens`` must take an array of x and return ln f of the same shape,
+    as for ``quadrature_log_moment``.
+    """
     if support == HAMBURGER and k % 2 == 1:
-        gp = lambda u: (k + 1) * u + log_dens(math.exp(u))
-        gm = lambda u: (k + 1) * u + log_dens(-math.exp(u))
-        return math.exp(_log_integral(gp)) - math.exp(_log_integral(gm))
+        return math.exp(_log_integral(log_dens, k + 1)) \
+            - math.exp(_log_integral(log_dens, k + 1, -1.0))
     return math.exp(quadrature_log_moment(log_dens, support, k))
 
 
 def quadrature_tail(log_dens: Callable, x: float, hi: Optional[float] = None) -> float:
     """Upper tail integral of exp(log_dens) from x, for oracle comparisons."""
+    from scipy.integrate import quad
+
     g = lambda u: u + log_dens(math.exp(u))
     lo = math.log(x)
     m = g(lo)

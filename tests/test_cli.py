@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 from contextlib import redirect_stdout
 
@@ -106,6 +108,19 @@ class TestAnalyze:
         code, out = run_cli("analyze", exp_normal_spec, "--pretty")
         doc = json.loads(out)
         assert any("Corollary 4" in line for line in doc["explanation"])
+
+    @pytest.mark.parametrize("factors,line", [
+        ([{"family": "GG", "alpha": 1e-3, "beta": "1/50", "gamma": 100}, {"family": "exp"}],
+         "  - hazard_bound: holds (factor=GG(alpha=0.001, beta=0.02, gamma=100), ln A=-72125.3)"),
+        ([{"family": "GG", "alpha": 1, "beta": "1/20", "gamma": 9}],
+         "  - tail_bound: holds (factor=GG(alpha=1, beta=0.05, gamma=9), ln B=-751.552)"),
+    ], ids=["A", "B"])
+    def test_pretty_shows_log_of_underflowing_constant(self, tmp_path, factors, line):
+        code, out = run_cli("analyze", write_spec(tmp_path, {"factors": factors}), "--pretty")
+        assert code == cli.EXIT_MINDET
+        lines = json.loads(out)["explanation"]
+        assert line in lines
+        assert not any(l.endswith(("A=0)", "B=0)")) for l in lines)
 
     def test_alias_canonicalization(self, tmp_path):
         spec = write_spec(tmp_path, {"factors": [
@@ -329,6 +344,18 @@ class TestParser:
 
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden"
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # only the quadrature oracle and Krein use them; they import on first call
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, momentdet.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestGoldenBytes:

@@ -73,6 +73,17 @@ class TestDecideSingle:
         assert v.rule.split("; ")[0] == theorem
         assert v == dec.decide_product(P([d]))
 
+    def test_underflowing_tail_constant_noted(self):
+        # the tail ratio falls to about e^-752 on the grid: B underflows, and
+        # a note gives ln B as the hazard check gives ln A
+        v = dec.decide_single(dist.gg(1, "1/20", 9))
+        assert v.conclusion == dec.M_INDET
+        tail = v.side_conditions[2]
+        assert tail.criterion == "tail_bound" and tail.holds
+        assert tail.evidence["B"] == 0.0
+        head, _, log_b = tail.notes[-1].partition("ln B = ")
+        assert head == "B underflows to 0; " and math.isfinite(float(log_b))
+
     def test_overflowing_decreasing_point_named(self):
         # the density rises up to x ~ 1e335, past the largest float: the grid
         # is not finite, so the checks fail by name instead of raising

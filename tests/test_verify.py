@@ -57,6 +57,105 @@ class TestQuadratureMoment:
             ver.quadrature_log_moment(lambda x: -x, "circle", 2)
 
 
+def _log_moment(d, k):
+    return lambda: ver.quadrature_log_moment(lambda x: dist.log_density(d, x), d.support, k)
+
+
+def _witness(case, k):
+    def value():
+        cd = ver.build_counterexample(case, 2.0)
+        return cd.log_norming if k is None else ver.quadrature_log_moment(
+            cd.log_density, cd.support, k)
+    return value
+
+
+def _shifted_normal_m3():
+    # N(1, 1): E[X^3] = 1 + 3 = 4, a signed real-line moment
+    log_dens = lambda x: -0.5 * (x - 1.0) ** 2 - 0.5 * math.log(2.0 * math.pi)
+    return ver.quadrature_moment(log_dens, ver.REAL_LINE, 3)
+
+
+# name -> quadrature value.  fixtures/quadrature_values.tsv holds their reprs
+# as computed when the scan window was still a loop of scalar calls: the array
+# scan only brackets the peak, so every value must stay bit-identical.
+PINNED_QUADRATURE = {
+    "GG(1,1/3,1) k=0": _log_moment(dist.gg(1, "1/3", 1), 0),
+    "GG(1,1/3,1) k=3": _log_moment(dist.gg(1, "1/3", 1), 3),
+    "GG(1,1/3,1) k=12": _log_moment(dist.gg(1, "1/3", 1), 12),
+    "GG(1,1/3,1) k=60": _log_moment(dist.gg(1, "1/3", 1), 60),
+    "GG(0.5,2,3.1) k=2": _log_moment(dist.gg(0.5, 2, 3.1), 2),
+    "GG(0.5,2,3.1) k=7": _log_moment(dist.gg(0.5, 2, 3.1), 7),
+    "Exp k=3": _log_moment(dist.exponential(), 3),
+    "DGG(0.5,2,1) k=0": _log_moment(dist.dgg(0.5, 2, 1), 0),
+    "DGG(0.5,2,1) k=4": _log_moment(dist.dgg(0.5, 2, 1), 4),
+    "DGG(1,1/3,1) k=10": _log_moment(dist.dgg(1, "1/3", 1), 10),
+    "IG(1,1) k=1": _log_moment(dist.ig(1, 1), 1),
+    "IG(1,1) k=5": _log_moment(dist.ig(1, 1), 5),
+    "IG(0.13,6.6) k=3": _log_moment(dist.ig(0.13, 6.6), 3),
+    "IG(7.5,0.047) k=2": _log_moment(dist.ig(7.5, 0.047), 2),
+    "stieltjes witness log_norming": _witness("stieltjes", None),
+    "stieltjes witness k=10": _witness("stieltjes", 10),
+    "hamburger witness log_norming": _witness("hamburger", None),
+    "hamburger witness k=8": _witness("hamburger", 8),
+    "N(0,1) m3": lambda: ver.quadrature_moment(
+        lambda x: dist.log_density(dist.std_normal(), x), ver.REAL_LINE, 3),
+    "N(1,1) m3": _shifted_normal_m3,
+}
+
+
+def load_pinned_quadrature():
+    with open(FIXTURES / "quadrature_values.tsv") as fh:
+        assert next(fh).rstrip("\n").split("\t") == ["case", "repr"]
+        return dict(line.rstrip("\n").split("\t") for line in fh)
+
+
+class TestArrayScan:
+    """The scan window is one array call of log_dens; everything else is scalar."""
+
+    @staticmethod
+    def counted(log_dens):
+        sizes = []
+
+        def wrapper(x):
+            sizes.append(np.size(x))
+            return log_dens(x)
+        return wrapper, sizes
+
+    def test_one_array_call_per_scan_window(self):
+        e = dist.exponential()
+        log_dens, sizes = self.counted(lambda x: dist.log_density(e, x))
+        lm = ver.quadrature_log_moment(log_dens, ver.POSITIVE_HALF_LINE, 3)
+        assert lm == pytest.approx(math.log(6.0), rel=1e-12)
+        assert [s for s in sizes if s > 1] == [2001]
+        assert len(sizes) < 600  # about 2,500 when the scan was scalar
+
+    def test_real_line_scans_each_half_once(self):
+        n = dist.std_normal()
+        log_dens, sizes = self.counted(lambda x: dist.log_density(n, x))
+        ver.quadrature_moment(log_dens, ver.REAL_LINE, 3)
+        assert [s for s in sizes if s > 1] == [2001, 2001]
+
+    @pytest.mark.parametrize("log_dens", [
+        lambda x: -x if x > 0 else -math.inf,
+        lambda x: math.log(x) - x,
+        lambda x: float(np.max(-x)),
+    ], ids=["truth-value-of-array", "math-on-array", "scalar-for-array"])
+    def test_scalar_only_callable_named(self, log_dens):
+        with pytest.raises(ValueError, match="must take an array of x"):
+            ver.quadrature_log_moment(log_dens, ver.POSITIVE_HALF_LINE, 2)
+
+    def test_peak_past_the_float_range_overflows(self):
+        # x^(k+99) exp(-1e-3 x^(1/50)) peaks near u = ln x = 1000, beyond the
+        # largest float: the scan stops with OverflowError and no RuntimeWarning
+        d = dist.gg(1e-3, "1/50", 100)
+        with pytest.raises(OverflowError):
+            ver.quadrature_log_moment(lambda x: dist.log_density(d, x), d.support, 2)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_QUADRATURE))
+    def test_values_pinned(self, name):
+        assert repr(PINNED_QUADRATURE[name]()) == load_pinned_quadrature()[name]
+
+
 class TestCounterexampleDensity:
     def test_normalization(self):
         for case in ("stieltjes", "hamburger"):
