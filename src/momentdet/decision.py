@@ -46,7 +46,8 @@ from .distributions import (
     ProductSpec,
     decreasing_from,
     log_density,
-    log_hazard,
+    log_density_scaled,
+    log_hazard,  # unused here; benchmarks/test_bench_specs.py traces decision.log_hazard
     log_tail_scaled,
     support_class,
     tail_bound_params,
@@ -256,17 +257,33 @@ def _fitted_constant(log_value: float) -> float:
     return sys.float_info.max if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
 
 
-def _verify_hazard_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
-    """Condition (ii), hazard part: f/F-bar >= A/x on the grid, A fitted at
-    the grid minimum of x * hazard(x).  As for B in the tail bound, a finite
-    ln A is enough: when A underflows, a note gives ln A."""
-    log_xh = log_hazard(d, grid) + np.log(grid)
-    ok = bool(np.all(np.isfinite(log_xh)))
-    log_a = float(np.min(log_xh)) if ok else float("nan")
+def _verify_envelope(d: DistributionSpec, index: int,
+                     grid: np.ndarray) -> tuple[CriterionReport, CriterionReport]:
+    """Condition (ii) for one factor on one scaled tail: the hazard bound
+    f/F-bar >= A/x and the envelope F-bar(x) >= B x^g e^(-a x^b) with the
+    family-native (a, b, g), A and B fitted at grid minima.  A correct order
+    (a, b) leaves the envelope ratio a polynomial transient of bounded log-log
+    slope; a wrong one drives the slope to minus infinity.  A constant that
+    underflows to 0 gets a note with its log."""
+    a_t, b_t, g_t = tail_bound_params(d)
+    log_ts = log_tail_scaled(d, grid)
+    log_x = np.log(grid)
+    log_xh = log_density_scaled(d, grid) - log_ts + log_x
+    ok_a = bool(np.all(np.isfinite(log_xh)))
+    log_a = float(np.min(log_xh)) if ok_a else float("nan")
     a_fit = _fitted_constant(log_a)
+    log_ratio = log_ts - g_t * log_x
+    if not np.all(np.isfinite(log_ratio)):
+        ok_b, b_fit, slope = False, float("nan"), float("-inf")
+    else:
+        span = math.log(grid[-1]) - math.log(grid[-6])
+        slope = float(log_ratio[-1] - log_ratio[-6]) / span
+        ok_b = slope >= -(abs(g_t) + TAIL_SLOPE_HEADROOM)
+        log_b = float(np.min(log_ratio))
+        b_fit = _fitted_constant(log_b) * (1.0 - 1e-9)
     return CriterionReport(
         criterion="hazard_bound",
-        status=HOLDS if ok else FAILS,
+        status=HOLDS if ok_a else FAILS,
         evidence={
             "factor_index": index,
             "factor": str(d),
@@ -275,32 +292,9 @@ def _verify_hazard_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> C
             "grid_max": float(grid[-1]),
         },
         notes=(_UNDERFLOW_NOTE.format("A") + repr(log_a),) if a_fit == 0.0 else (),
-    )
-
-
-def _verify_tail_bound(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
-    """Condition (ii), tail part: F-bar(x) >= B x^g exp(-a x^b) with the
-    family-native exponents.
-
-    The log-ratio ln(F-bar / (x^g e^(-a x^b))) is evaluated on the grid.  If
-    the exponential order (a, b) matches the true tail, the ratio has at most
-    a polynomial transient, so its log-log slope stays bounded; a wrong order
-    drives the slope to minus infinity.  B is fitted at the grid minimum.
-    """
-    a_t, b_t, g_t = tail_bound_params(d)
-    log_ratio = log_tail_scaled(d, grid) - g_t * np.log(grid)
-    finite = np.all(np.isfinite(log_ratio))
-    if not finite:
-        ok, b_fit, slope = False, float("nan"), float("-inf")
-    else:
-        span = math.log(grid[-1]) - math.log(grid[-6])
-        slope = float(log_ratio[-1] - log_ratio[-6]) / span
-        ok = slope >= -(abs(g_t) + TAIL_SLOPE_HEADROOM)
-        log_b = float(np.min(log_ratio))
-        b_fit = _fitted_constant(log_b) * (1.0 - 1e-9)
-    return CriterionReport(
+    ), CriterionReport(
         criterion="tail_bound",
-        status=HOLDS if ok else FAILS,
+        status=HOLDS if ok_b else FAILS,
         evidence={
             "factor_index": index,
             "factor": str(d),
@@ -336,8 +330,7 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
         grid = _verification_grid(x0_eff)
         reports = [_verify_decreasing(chosen, idx, grid)]
         for i, d in enumerate(factors):
-            reports.append(_verify_hazard_bound(d, i, grid))
-            reports.append(_verify_tail_bound(d, i, grid))
+            reports.extend(_verify_envelope(d, i, grid))
     return reports
 
 

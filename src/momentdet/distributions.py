@@ -10,6 +10,7 @@ several hundred stay representable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -60,8 +61,15 @@ def exact_rational(value: ParamLike) -> Optional[Fraction]:
 
 
 def _as_param(value: ParamLike, name: str) -> tuple[float, Optional[Fraction]]:
-    exact = exact_rational(value)
-    x = float(exact) if isinstance(value, (str, Fraction)) else float(value)
+    """(float, exact rational or None) of a parameter; ValueError naming ``name``
+    for anything but a finite positive number or rational string."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError(f"{name} must be a number or a rational string, got {value!r}")
+    try:
+        exact = exact_rational(value)
+        x = float(exact) if isinstance(value, (str, Fraction)) else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", "1e400"
+        x = math.nan
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return x, exact
@@ -128,6 +136,7 @@ def ig(mu: ParamLike, lam: ParamLike) -> DistributionSpec:
 
 def exponential(rate: ParamLike = 1) -> DistributionSpec:
     """Exp(rate) == GG(rate, 1, 1)."""
+    _as_param(rate, "rate")
     return gg(rate, 1, 1)
 
 
@@ -381,8 +390,8 @@ def log_tail(d: DistributionSpec, x):
     return _pointwise(_log_tail, d, x)
 
 
-def tail(d: DistributionSpec, x) -> float:
-    """F-bar(x) = 1 - F(x)."""
+def tail(d: DistributionSpec, x):
+    """F-bar(x) = 1 - F(x); scalar or array x."""
     lt = log_tail(d, x)
     return np.exp(lt) if np.ndim(x) > 0 else math.exp(lt)
 
@@ -395,7 +404,8 @@ def _log_tail_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
 
 
 def log_tail_scaled(d: DistributionSpec, x):
-    """ln( F-bar(x) * exp(+alpha_t x^beta_t) ) for the family-native tail exponents.
+    """ln( F-bar(x) * exp(+alpha_t x^beta_t) ), the tail with the envelope factor
+    of ``tail_bound_params`` taken out.
 
     Computed without forming the huge exponent difference, so it is usable on
     grids where alpha_t x^beta_t reaches 1e9.  Scalar or array x > 0.
@@ -403,25 +413,31 @@ def log_tail_scaled(d: DistributionSpec, x):
     return _pointwise(_log_tail_scaled, d, x)
 
 
-def hazard(d: DistributionSpec, x) -> float:
-    """f(x) / F-bar(x), computed in log space."""
+def _log_density_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    if d.family == IG:
+        return 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(x)) \
+            + d.lam / d.mu - d.lam / (2.0 * x)
+    return _log_norming(d) + (d.gamma - 1.0) * np.log(x)
+
+
+def log_density_scaled(d: DistributionSpec, x):
+    """ln( f(x) * exp(+alpha_t x^beta_t) ) in closed form, the partner of
+    ``log_tail_scaled``; scalar or array x > 0."""
+    return _pointwise(_log_density_scaled, d, x)
+
+
+def hazard(d: DistributionSpec, x):
+    """f(x) / F-bar(x), computed in log space; scalar or array x."""
     return math.exp(log_hazard(d, x)) if np.ndim(x) == 0 else np.exp(log_hazard(d, x))
 
 
 def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    # For x > 0, ln h = head(x) - log_tail_scaled(x): the exponential factor
-    # exp(-alpha_t x^beta_t) of the density and of the tail cancels
-    # analytically instead of as the difference of two huge logs.
+    # For x > 0, ln h = log_density_scaled - log_tail_scaled: exp(-alpha_t x^beta_t)
+    # cancels analytically instead of as the difference of two huge logs.
     pos = x > 0.0
     xp = x[pos]
-    if d.family == IG:
-        head = 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(xp)) \
-            + d.lam / d.mu - d.lam / (2.0 * xp)
-    else:
-        # the ln 2 of a DGG density and of its tail cancel
-        head = _log_norming(d) + (d.gamma - 1.0) * np.log(xp)
     out = np.empty(x.shape)
-    out[pos] = head - _log_tail_scaled(d, xp)
+    out[pos] = _log_density_scaled(d, xp) - _log_tail_scaled(d, xp)
     if not pos.all():
         rest = x[~pos]
         out[~pos] = log_density(d, rest) - _log_tail(d, rest)

@@ -24,6 +24,13 @@ def write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
+def src_env():
+    """The environment of a child process that imports this checkout's momentdet."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.fixture
 def exp_normal_spec(tmp_path):
     return write_spec(tmp_path, {
@@ -58,11 +65,20 @@ class TestAnalyze:
         code, out = run_cli("analyze", spec)
         assert code == cli.EXIT_INCONCLUSIVE
 
-    def test_malformed_parameter(self, tmp_path):
-        spec = write_spec(tmp_path, {"factors": [
-            {"family": "GG", "alpha": 1, "beta": -2, "gamma": 1}]})
+    @pytest.mark.parametrize("factor", [
+        {"family": "GG", "alpha": 1, "beta": -2, "gamma": 1},
+        {"family": "exp", "rate": None},
+        {"family": "GG", "alpha": [1], "beta": 1, "gamma": 1},
+        {"family": "IG", "mu": {}, "lambda": 1},
+        {"family": "GG", "alpha": 1, "beta": "1/0", "gamma": 1},
+        {"family": "GG", "alpha": 1, "beta": "1e400", "gamma": 1},
+        {"family": "GG", "alpha": True, "beta": 1, "gamma": 1},
+    ], ids=["negative", "null", "list", "object", "zero-denominator", "overflow", "bool"])
+    def test_malformed_parameter(self, tmp_path, capsys, factor):
+        spec = write_spec(tmp_path, {"factors": [factor]})
         code, _ = run_cli("analyze", spec)
         assert code == cli.EXIT_USAGE
+        assert "factors[0]" in capsys.readouterr().err
 
     def test_unknown_family_named(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"factors": [{"family": "cauchy"}]})
@@ -328,6 +344,23 @@ class TestVerify:
         _, out2 = run_cli("verify", spec, "--mc", "120000", "--seed", "9")
         assert out1 == out2
 
+    def test_numerical_failure_is_reported(self, tmp_path):
+        # the moment integrand of factor 0 peaks near x = e^1000 and its
+        # moments overflow: the oracle and Monte Carlo failures are reported,
+        # the other factor keeps its oracle row
+        spec = write_spec(tmp_path, {"factors": [
+            {"family": "GG", "alpha": 1e-3, "beta": "1/50", "gamma": 100}, {"family": "exp"}]})
+        run = subprocess.run([sys.executable, "-m", "momentdet.cli", "verify", spec,
+                              "--mc", "100000", "--kmax", "2"],
+                             env=src_env(), capture_output=True, text=True)
+        assert run.returncode == cli.EXIT_VERIFY_FAILED
+        assert "Traceback" not in run.stderr
+        doc = json.loads(run.stdout)
+        assert doc["ok"] is False
+        assert doc["failures"][0].startswith("oracle failed on factor 0")
+        assert any(f.startswith("Monte Carlo failed") for f in doc["failures"])
+        assert [r["factor_index"] for r in doc["oracle"]] == [1] and doc["oracle"][0]["ok"]
+
 
 class TestParser:
     def test_version_flag(self):
@@ -348,12 +381,9 @@ GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden"
 
 def test_import_leaves_integrate_and_optimize_unloaded():
     # only the quadrature oracle and Krein use them; they import on first call
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, momentdet.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 import sys
 import warnings
@@ -16,6 +18,41 @@ P = dist.ProductSpec
 EXP = dist.exponential()
 NORMAL = dist.std_normal()
 IG11 = dist.ig(1, 1)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# name -> (factors, x0) of decisions above the threshold: indeterminate, or
+# inconclusive with a side condition failing.  fixtures/envelope_reports.tsv
+# holds json.dumps(decide_product(...).to_dict()) for each, as computed when
+# the hazard and tail checks still took the scaled tail separately.
+PINNED_ENVELOPES = {
+    "GG(1,1/3,1)": ([dist.gg(1, "1/3", 1)], 1.0),
+    "DGG(1,1/25,1)": ([dist.dgg(1, "1/25", 1)], 1.0),
+    "GG(0.117,1/3,2.87)": ([dist.gg(0.117, "1/3", 2.87)], 1.0),
+    "IG(1,1)*IG(2,1)*Exp": ([IG11, dist.ig(2, 1), EXP], 1.0),
+    "IG(0.13,6.6)*IG(7.5,0.047)*GG(2,1/2,3)": (
+        [dist.ig(0.13, 6.6), dist.ig(7.5, 0.047), dist.gg(2, "1/2", 3)], 1.0),
+    "Exp*Normal": ([EXP, NORMAL], 1.0),
+    "IG(1,1)*Normal": ([IG11, NORMAL], 1.0),
+    "Normal^3": ([NORMAL, NORMAL, NORMAL], 1.0),
+    "DGG(1,1/2,1)*DGG(2,4,3)": ([dist.dgg(1, "1/2", 1), dist.dgg(2, 4, 3)], 1.0),
+    "DGG(0.7,0.45,2.2)*GG(0.31,0.3123457,1.7)*IG(0.13,6.6)": (
+        [dist.dgg(0.7, 0.45, 2.2), dist.gg(0.31, 0.3123457, 1.7), dist.ig(0.13, 6.6)], 1.0),
+    "GG(1,10,1)*GG(1,1/3,1)": ([dist.gg(1, 10, 1), dist.gg(1, "1/3", 1)], 1.0),
+    "GG(1e-3,1/50,100)*Exp": ([dist.gg(1e-3, "1/50", 100), EXP], 1.0),
+    "GG(1e-3,1/50,100)": ([dist.gg(1e-3, "1/50", 100)], 1.0),
+    "GG(1,1/20,9)": ([dist.gg(1, "1/20", 9)], 1.0),
+    "IG(0.39,713)*GG(1,1/2,1)": ([dist.ig(0.39, 713), dist.gg(1, "1/2", 1)], 1.0),
+    "IG(1,1)^2*Exp x0=1e7": ([IG11, IG11, EXP], 1e7),
+    "Exp*Normal x0=1e306": ([EXP, NORMAL], 1e306),
+    "GG(1,1/3,1) x0=1e300": ([dist.gg(1, "1/3", 1)], 1e300),
+}
+
+
+def load_pinned_envelopes():
+    with open(FIXTURES / "envelope_reports.tsv") as fh:
+        assert next(fh).rstrip("\n").split("\t") == ["case", "to_dict"]
+        return dict(line.rstrip("\n").split("\t") for line in fh)
 
 
 class TestFactorExponent:
@@ -201,12 +238,16 @@ class TestDecideProduct:
             assert v.conclusion == expected, betas
 
     def test_one_grid_per_decision(self, monkeypatch):
-        calls = []
-        geomspace = np.geomspace
+        # one grid per decision, and one scaled tail per factor on it: the
+        # hazard and tail checks of a factor share it
+        calls, tails = [], []
+        geomspace, scaled = np.geomspace, dist._log_tail_scaled
         monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a) or geomspace(*a, **k))
+        monkeypatch.setattr(dist, "_log_tail_scaled", lambda *a: tails.append(a) or scaled(*a))
         v = dec.decide_product(P([IG11, dist.ig(2, 1), EXP]))
         assert v.conclusion == dec.M_INDET
         assert len(calls) == 1
+        assert len(tails) == 3
 
     def test_indet_side_conditions_recorded(self):
         v = dec.decide_product(P([NORMAL, NORMAL, NORMAL]))
@@ -232,7 +273,7 @@ class TestDecideProduct:
         # small alpha and beta = 1/3: the tail ratio decays polynomially for
         # the whole verification grid, which is not an envelope violation
         d = dist.gg(0.117, "1/3", 2.87)
-        rep = dec._verify_tail_bound(d, 0, dec._verification_grid(1.0))
+        _, rep = dec._verify_envelope(d, 0, dec._verification_grid(1.0))
         assert rep.holds
 
     def test_wrong_envelope_order_rejected(self, monkeypatch):
@@ -242,7 +283,7 @@ class TestDecideProduct:
         monkeypatch.setattr(dec, "tail_bound_params", lambda _: (0.5, 1.0, -1.0))
         wrong_scaled = lambda dd, x: dist.log_tail(dd, x) + 0.5 * x
         monkeypatch.setattr(dec, "log_tail_scaled", wrong_scaled)
-        rep = dec._verify_tail_bound(d, 0, dec._verification_grid(1.0))
+        _, rep = dec._verify_envelope(d, 0, dec._verification_grid(1.0))
         assert not rep.holds
 
     @pytest.mark.parametrize("beta", ["20/3", 10])
@@ -256,9 +297,18 @@ class TestDecideProduct:
     def test_fitted_constant_clamped(self):
         # ln(F-bar / envelope) stays near lam/mu ~ 1830 on the grid: B is the
         # largest float, still a valid constant for the lower bound
-        rep = dec._verify_tail_bound(dist.ig(0.39, 713), 0, dec._verification_grid(1.0))
+        _, rep = dec._verify_envelope(dist.ig(0.39, 713), 0, dec._verification_grid(1.0))
         assert rep.holds
         assert rep.evidence["B"] == sys.float_info.max * (1.0 - 1e-9)
+
+    def test_envelope_reports_pinned(self):
+        # one scaled tail per factor feeds both checks: the reports keep
+        # every byte they had when each check computed its own
+        pinned = load_pinned_envelopes()
+        assert sorted(pinned) == sorted(PINNED_ENVELOPES)
+        for name, (factors, x0) in PINNED_ENVELOPES.items():
+            v = dec.decide_product(P(factors), dec.DecisionConfig(x0=x0))
+            assert json.dumps(v.to_dict()) == pinned[name], name
 
     def test_tail_cancellation_names_the_check(self):
         # from x0 = 1e7 the IG tail cancels completely on part of the grid;

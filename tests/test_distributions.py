@@ -231,6 +231,15 @@ class TestArrayKernels:
             self._same_bits(dist.log_tail, d, self.POINTS)
             self._same_bits(dist.log_hazard, d, self.POINTS)
             self._same_bits(dist.log_tail_scaled, d, self.POSITIVE)
+            self._same_bits(dist.log_density_scaled, d, self.POSITIVE)
+
+    def test_hazard_is_scaled_density_over_scaled_tail(self, family_grid):
+        # on x > 0 the hazard is the difference of the two scaled kernels,
+        # which share the envelope factor exp(-alpha_t x^beta_t)
+        for d in family_grid:
+            expected = dist.log_density_scaled(d, self.POSITIVE) \
+                - dist.log_tail_scaled(d, self.POSITIVE)
+            assert dist.log_hazard(d, self.POSITIVE).tobytes() == expected.tobytes(), str(d)
 
     def test_array_shape_kept(self):
         d = dist.gg(1, 2, 3)
