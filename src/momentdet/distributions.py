@@ -49,7 +49,10 @@ def exact_rational(value: ParamLike) -> Optional[Fraction]:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:  # "1/0"
+            raise ValueError(f"{value!r} has a zero denominator") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             return None
@@ -68,7 +71,7 @@ def _as_param(value: ParamLike, name: str) -> tuple[float, Optional[Fraction]]:
     try:
         exact = exact_rational(value)
         x = float(exact) if isinstance(value, (str, Fraction)) else float(value)
-    except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", "1e400"
+    except (ValueError, OverflowError):  # "abc", "1/0", "1e400"
         x = math.nan
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
@@ -97,7 +100,7 @@ class DistributionSpec:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("alpha", "beta", "gamma", "mu", "lam"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
 
     @property
@@ -203,22 +206,35 @@ def _log_norming(d: DistributionSpec) -> float:
     return lc
 
 
+def _log_density_pos(d: DistributionSpec, x):
+    """ln f at points |x| > 0 of the support, for an array or an np.float64 x.
+
+    Both routes of ``log_density`` evaluate this one closed form with the same
+    NumPy ufuncs, so a point gets the same bits as a scalar and in an array.
+    """
+    if d.family == IG:
+        return 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(x)) \
+            - d.lam * np.square(x - d.mu) / (2.0 * d.mu ** 2 * x)
+    return _log_norming(d) + (d.gamma - 1.0) * np.log(x) - d.alpha * np.power(x, d.beta)
+
+
 def log_density(d: DistributionSpec, x, strict: bool = False):
-    """ln f(x); -inf where f vanishes (off-support, or the f(0)=0 convention)."""
+    """ln f(x); -inf where f vanishes (off-support, or the f(0)=0 convention).
+
+    A scalar x is evaluated without building an array; only the support
+    handling differs from the array route.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:   # np.ndim builds an array for a float
+        return _log_density_at(d, np.float64(x), strict)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     out = np.full(x.shape, -np.inf)
 
     if d.family == IG:
         ok = x > 0
         if strict and not ok.all():
             raise SupportError("IG density requires x > 0")
-        xs = x[ok]
-        out[ok] = 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(xs)) \
-            - d.lam * (xs - d.mu) ** 2 / (2.0 * d.mu ** 2 * xs)
+        out[ok] = _log_density_pos(d, x[ok])
     else:
-        lc = _log_norming(d)
         if d.family == GG:
             neg = x < 0
             if strict and neg.any():
@@ -228,12 +244,30 @@ def log_density(d: DistributionSpec, x, strict: bool = False):
             raise SupportError("density vanishes at x = 0 for gamma != 1")
         ax = np.abs(x)
         ok = ax > 0 if d.family == DGG else x > 0
-        xs = ax[ok]
-        out[ok] = lc + (d.gamma - 1.0) * np.log(xs) - d.alpha * xs ** d.beta
+        out[ok] = _log_density_pos(d, ax[ok])
         if d.gamma == 1.0:
-            out[zero] = lc
+            out[zero] = _log_norming(d)
+    return out
 
-    return float(out[0]) if scalar else out
+
+def _log_density_at(d: DistributionSpec, x: np.float64, strict: bool) -> float:
+    # the support cases of the array route, for one point
+    if d.family == IG:
+        if x > 0:
+            return float(_log_density_pos(d, x))
+        if strict:
+            raise SupportError("IG density requires x > 0")
+        return -math.inf
+    if strict and d.family == GG and x < 0:
+        raise SupportError("GG density requires x >= 0")
+    if x == 0.0:
+        if d.gamma == 1.0:
+            return float(_log_norming(d))
+        if strict:
+            raise SupportError("density vanishes at x = 0 for gamma != 1")
+        return -math.inf
+    ax = abs(x) if d.family == DGG else x
+    return float(_log_density_pos(d, ax)) if ax > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +545,22 @@ def sample(d: DistributionSpec, seed, n: int) -> np.ndarray:
 
 
 def sample_with(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    if d.family in (GG, DGG):
-        g = rng.gamma(d.gamma / d.beta, size=n)
-        x = (g / d.alpha) ** (1.0 / d.beta)
-        if d.family == DGG:
-            sign = rng.integers(0, 2, size=n) * 2 - 1
-            x = x * sign
-        return x
-    # IG by the normal-transform method with the mu/(mu+x) acceptance flip.
-    mu, lam = d.mu, d.lam
-    y = rng.standard_normal(n) ** 2
-    x = mu + mu * mu * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * y + (mu * y) ** 2)
-    u = rng.random(n)
-    return np.where(u <= mu / (mu + x), x, mu * mu / x)
+    """n draws from ``rng``; a draw past the float range comes back as inf or
+    nan without a warning, and ``verify.mc_cross_check`` rejects it."""
+    with np.errstate(all="ignore"):
+        if d.family in (GG, DGG):
+            g = rng.gamma(d.gamma / d.beta, size=n)
+            x = (g / d.alpha) ** (1.0 / d.beta)
+            if d.family == DGG:
+                sign = rng.integers(0, 2, size=n) * 2 - 1
+                x = x * sign
+            return x
+        # IG by the normal-transform method with the mu/(mu+x) acceptance flip.
+        mu, lam = d.mu, d.lam
+        y = rng.standard_normal(n) ** 2
+        x = mu + mu * mu * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(4.0 * mu * lam * y + (mu * y) ** 2)
+        u = rng.random(n)
+        return np.where(u <= mu / (mu + x), x, mu * mu / x)
 
 
 def sample_product(p: ProductSpec, seed, n: int) -> np.ndarray:
@@ -531,6 +568,7 @@ def sample_product(p: ProductSpec, seed, n: int) -> np.ndarray:
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(p.factors))
     z = np.ones(n)
-    for d, child in zip(p.factors, children):
-        z = z * sample_with(d, np.random.default_rng(child), n)
+    with np.errstate(all="ignore"):   # an inf draw times 0 is nan, silently as in sample_with
+        for d, child in zip(p.factors, children):
+            z = z * sample_with(d, np.random.default_rng(child), n)
     return z

@@ -198,22 +198,30 @@ class CounterexampleDensity:
         """The support class: Stieltjes or Hamburger."""
         return STIELTJES if self.case == STIELTJES_CASE else HAMBURGER
 
+    def _log_density_pos(self, x):
+        # ln f at |x| > 0, for an array or an np.float64 x: one closed form with
+        # the same ufuncs for both routes, so both give the same bits
+        head = np.sqrt(x) if self.case == STIELTJES_CASE else x
+        return self.log_norming - head / (1.0 + np.power(np.abs(np.log(x)), self.delta))
+
     def log_density(self, x):
+        """ln f(x) for a scalar (without building an array) or an array x."""
+        if isinstance(x, float) or np.ndim(x) == 0:   # np.ndim builds an array for a float
+            x = np.float64(x)
+            if self.case == STIELTJES_CASE:
+                return float(self._log_density_pos(x)) if x > 0 else -math.inf
+            # the origin is a removable point: the modulated exponent -> 0
+            return float(self._log_density_pos(abs(x))) if x != 0 else float(self.log_norming)
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         out = np.full(x.shape, -np.inf)
         if self.case == STIELTJES_CASE:
             ok = x > 0
-            xs = x[ok]
-            out[ok] = self.log_norming - np.sqrt(xs) / (1.0 + np.abs(np.log(xs)) ** self.delta)
+            out[ok] = self._log_density_pos(x[ok])
         else:
             ok = x != 0
-            xs = np.abs(x[ok])
-            out[ok] = self.log_norming - xs / (1.0 + np.abs(np.log(xs)) ** self.delta)
-            # the origin is a removable point: the modulated exponent -> 0
+            out[ok] = self._log_density_pos(np.abs(x[ok]))
             out[~ok] = self.log_norming
-        return float(out[0]) if scalar else out
+        return out
 
 
 def build_counterexample(case: str, delta: float) -> CounterexampleDensity:
@@ -388,12 +396,20 @@ class MCReport:
 
 def mc_cross_check(p: ProductSpec, seed, n: int, kmax: int = 4) -> MCReport:
     """Empirical product moments versus the analytic ones, within MC_SIGMAS
-    standard errors; failures are reported, never raised."""
+    standard errors; a moment outside that band is reported, not raised.
+
+    Samples past the float range raise ``OverflowError`` before any moment is
+    taken.
+    """
     if not 1 <= kmax <= MC_KMAX:
         raise ValueError(f"kmax must be from 1 to {MC_KMAX} (the Monte Carlo reach)")
     if n < MC_MIN_SAMPLES:
         raise ValueError("n must be at least 1e5 for the standard errors to mean anything")
     z = sample_product(p, seed, n)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise OverflowError(f"{n - int(np.count_nonzero(finite))} of {n} product samples "
+                            "are not finite (the draws pass the float range)")
     rows = []
     for k in range(1, kmax + 1):
         zk = z ** k

@@ -25,9 +25,10 @@ def write_spec(tmp_path, doc, name="spec.json"):
 
 
 def src_env():
-    """The environment of a child process that imports this checkout's momentdet."""
+    """The environment of a child process that imports this checkout's momentdet,
+    with RuntimeWarnings as errors as in the suite's own filterwarnings."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
@@ -355,6 +356,7 @@ class TestVerify:
                              env=src_env(), capture_output=True, text=True)
         assert run.returncode == cli.EXIT_VERIFY_FAILED
         assert "Traceback" not in run.stderr
+        assert "RuntimeWarning" not in run.stderr
         doc = json.loads(run.stdout)
         assert doc["ok"] is False
         assert doc["failures"][0].startswith("oracle failed on factor 0")

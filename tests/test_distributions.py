@@ -56,6 +56,17 @@ class TestSpecsAndAliases:
         d = dist.gg(1, 0.50000001, 1)
         assert d.beta_exact is None
 
+    def test_bool_parameter_rejected(self):
+        # True is an int, but not a parameter: the field is named
+        with pytest.raises(ValueError, match="alpha"):
+            dist.DistributionSpec(dist.GG, alpha=True)
+        with pytest.raises(ValueError, match="lam"):
+            dist.DistributionSpec(dist.IG, lam=False)
+
+    def test_exact_rational_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            dist.exact_rational("1/0")
+
     def test_support_class(self):
         P = dist.ProductSpec
         assert dist.support_class(P([dist.gg(1, 1, 1), dist.ig(1, 1)])) == dist.STIELTJES
@@ -213,12 +224,18 @@ class TestHazard:
 
 
 class TestArrayKernels:
-    """The kernels take arrays; a scalar is the one-element case of the same
-    computation, so both agree bit for bit."""
+    """The kernels take arrays, and a scalar gives the same bits as the same
+    point in an array."""
 
     ORDERS = np.arange(1, 201)
     POINTS = np.concatenate([-np.geomspace(1e-2, 1e2, 9), [0.0], np.geomspace(1e-3, 1e4, 40)])
     POSITIVE = np.geomspace(1e-3, 1e4, 40)
+
+    # -0.0 and nan for the support cases of the scalar log-densities; the
+    # witness exponent |ln x|^delta of a C-library pow differs from np.power
+    # in the last bit on a few percent of points, so it gets a denser grid
+    DENSITY_POINTS = np.concatenate([POINTS, [-0.0, np.nan]])
+    WITNESS_POINTS = np.concatenate([DENSITY_POINTS, np.geomspace(1e-3, 1e4, 400)])
 
     @staticmethod
     def _same_bits(f, d, xs):
@@ -227,11 +244,25 @@ class TestArrayKernels:
 
     def test_scalar_equals_array(self, family_grid):
         for d in family_grid:
+            self._same_bits(dist.log_density, d, self.DENSITY_POINTS)
             self._same_bits(dist.log_moment, d, self.ORDERS)
             self._same_bits(dist.log_tail, d, self.POINTS)
             self._same_bits(dist.log_hazard, d, self.POINTS)
             self._same_bits(dist.log_tail_scaled, d, self.POSITIVE)
             self._same_bits(dist.log_density_scaled, d, self.POSITIVE)
+        for case in (ver.STIELTJES_CASE, ver.HAMBURGER_CASE):
+            cd = ver.build_counterexample(case, 2.5)
+            self._same_bits(ver.CounterexampleDensity.log_density, cd, self.WITNESS_POINTS)
+
+    @pytest.mark.parametrize("d,x", [(dist.gg(1, 1, 2), -1.0), (dist.gg(1, 1, 2), 0.0),
+                                     (dist.dgg(1, 2, 0.5), -0.0), (dist.ig(1, 1), 0.0),
+                                     (dist.ig(1, 1), -2.0), (dist.ig(1, 1), np.nan)])
+    def test_strict_scalar_raises_as_array(self, d, x):
+        with pytest.raises(dist.SupportError) as scalar:
+            dist.log_density(d, x, strict=True)
+        with pytest.raises(dist.SupportError) as array:
+            dist.log_density(d, np.array([x]), strict=True)
+        assert str(scalar.value) == str(array.value)
 
     def test_hazard_is_scaled_density_over_scaled_tail(self, family_grid):
         # on x > 0 the hazard is the difference of the two scaled kernels,

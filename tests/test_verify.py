@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,15 @@ class TestMCCrossCheck:
         p = dist.ProductSpec([dist.exponential()])
         with pytest.raises(ValueError, match="kmax"):
             ver.mc_cross_check(p, 1, 200_000, kmax=0)
+
+    def test_overflowing_samples_raise(self):
+        # GG(1e-3, 1/50, 100) draws pass the float range; that is an error
+        # named before any moment is taken, and no RuntimeWarning on the way
+        p = dist.ProductSpec([dist.gg(1e-3, "1/50", 100), dist.exponential()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="samples are not finite"):
+                ver.mc_cross_check(p, seed=0, n=100_000, kmax=2)
 
     def test_failures_reported_not_raised(self):
         # deliberately wrong analytic target cannot happen through the API, so
