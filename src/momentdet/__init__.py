@@ -18,7 +18,6 @@ from .distributions import (
     STIELTJES,
     DistributionSpec,
     ProductSpec,
-    SupportError,
     chi_square,
     dgg,
     exponential,

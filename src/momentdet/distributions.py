@@ -38,10 +38,6 @@ _SNAP_REL_TOL = 1e-12
 LIN_REL_STEP = 1e-5
 
 
-class SupportError(ValueError):
-    """Raised in strict mode when a point lies outside the support."""
-
-
 def exact_rational(value: ParamLike) -> Optional[Fraction]:
     """Best-effort exact rational for a parameter, or None for generic floats."""
     if isinstance(value, Fraction):
@@ -207,7 +203,7 @@ def _log_norming(d: DistributionSpec) -> float:
 
 
 def _log_density_pos(d: DistributionSpec, x):
-    """ln f at points |x| > 0 of the support, for an array or an np.float64 x.
+    """ln f at points 0 < |x| < inf of the support, for an array or an np.float64 x.
 
     Both routes of ``log_density`` evaluate this one closed form with the same
     NumPy ufuncs, so a point gets the same bits as a scalar and in an array.
@@ -215,59 +211,48 @@ def _log_density_pos(d: DistributionSpec, x):
     if d.family == IG:
         return 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(x)) \
             - d.lam * np.square(x - d.mu) / (2.0 * d.mu ** 2 * x)
-    return _log_norming(d) + (d.gamma - 1.0) * np.log(x) - d.alpha * np.power(x, d.beta)
+    return _log_density_scaled(d, x) - d.alpha * np.power(x, d.beta)
 
 
-def log_density(d: DistributionSpec, x, strict: bool = False):
-    """ln f(x); -inf where f vanishes (off-support, or the f(0)=0 convention).
+def _log_density_at_zero(d: DistributionSpec) -> float:
+    # f(0) is finite and positive only for GG/DGG with gamma == 1; elsewhere
+    # the single point 0 is given f(0) = 0
+    return _log_norming(d) if d.family != IG and d.gamma == 1.0 else -math.inf
 
-    A scalar x is evaluated without building an array; only the support
-    handling differs from the array route.
+
+def log_density(d: DistributionSpec, x):
+    """ln f(x); -inf where f vanishes (off the support, at +-inf and nan, or
+    the f(0) = 0 convention).  Scalar or array x."""
+    return log_density_on_support(_log_density_pos, _log_density_at_zero, d, x,
+                                  symmetric=d.family == DGG)
+
+
+def log_density_on_support(log_pos, log_at_zero, owner, x, symmetric: bool):
+    """ln f(x) of a density given by its closed form ``log_pos(owner, |x|)``
+    for |x| > 0 and its value ``log_at_zero(owner)`` at 0.
+
+    The one support rule of every log-density: x == 0 (also -0.0) gives the
+    value at 0; a point with 0 < |x| < inf on the support (x > 0, or x != 0
+    when ``symmetric``) gives the closed form; everything else, including
+    +-inf and nan, gives -inf.  ``log_at_zero`` is called only when a point
+    is 0.  A scalar x is evaluated without building an array, through the
+    same closed form as the array route, so both give the same bits.
     """
     if isinstance(x, float) or np.ndim(x) == 0:   # np.ndim builds an array for a float
-        return _log_density_at(d, np.float64(x), strict)
+        x = np.float64(x)
+        ax = abs(x) if symmetric else x
+        if 0.0 < ax < math.inf:
+            return float(log_pos(owner, ax))
+        return float(log_at_zero(owner)) if x == 0.0 else -math.inf
     x = np.asarray(x, dtype=float)
+    ax = np.abs(x) if symmetric else x
+    ok = (ax > 0.0) & (ax < math.inf)
     out = np.full(x.shape, -np.inf)
-
-    if d.family == IG:
-        ok = x > 0
-        if strict and not ok.all():
-            raise SupportError("IG density requires x > 0")
-        out[ok] = _log_density_pos(d, x[ok])
-    else:
-        if d.family == GG:
-            neg = x < 0
-            if strict and neg.any():
-                raise SupportError("GG density requires x >= 0")
-        zero = x == 0.0
-        if strict and zero.any() and d.gamma != 1.0:
-            raise SupportError("density vanishes at x = 0 for gamma != 1")
-        ax = np.abs(x)
-        ok = ax > 0 if d.family == DGG else x > 0
-        out[ok] = _log_density_pos(d, ax[ok])
-        if d.gamma == 1.0:
-            out[zero] = _log_norming(d)
+    out[ok] = log_pos(owner, ax[ok])
+    zero = x == 0.0
+    if zero.any():
+        out[zero] = log_at_zero(owner)
     return out
-
-
-def _log_density_at(d: DistributionSpec, x: np.float64, strict: bool) -> float:
-    # the support cases of the array route, for one point
-    if d.family == IG:
-        if x > 0:
-            return float(_log_density_pos(d, x))
-        if strict:
-            raise SupportError("IG density requires x > 0")
-        return -math.inf
-    if strict and d.family == GG and x < 0:
-        raise SupportError("GG density requires x >= 0")
-    if x == 0.0:
-        if d.gamma == 1.0:
-            return float(_log_norming(d))
-        if strict:
-            raise SupportError("density vanishes at x = 0 for gamma != 1")
-        return -math.inf
-    ax = abs(x) if d.family == DGG else x
-    return float(_log_density_pos(d, ax)) if ax > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +409,13 @@ def log_tail(d: DistributionSpec, x):
     return _pointwise(_log_tail, d, x)
 
 
+def _tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    return np.exp(_log_tail(d, x))
+
+
 def tail(d: DistributionSpec, x):
     """F-bar(x) = 1 - F(x); scalar or array x."""
-    lt = log_tail(d, x)
-    return np.exp(lt) if np.ndim(x) > 0 else math.exp(lt)
+    return _pointwise(_tail, d, x)
 
 
 def _log_tail_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -460,11 +448,6 @@ def log_density_scaled(d: DistributionSpec, x):
     return _pointwise(_log_density_scaled, d, x)
 
 
-def hazard(d: DistributionSpec, x):
-    """f(x) / F-bar(x), computed in log space; scalar or array x."""
-    return math.exp(log_hazard(d, x)) if np.ndim(x) == 0 else np.exp(log_hazard(d, x))
-
-
 def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     # For x > 0, ln h = log_density_scaled - log_tail_scaled: exp(-alpha_t x^beta_t)
     # cancels analytically instead of as the difference of two huge logs.
@@ -481,6 +464,16 @@ def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
 def log_hazard(d: DistributionSpec, x):
     """ln(f(x) / F-bar(x)); scalar or array x."""
     return _pointwise(_log_hazard, d, x)
+
+
+def _hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    return np.exp(_log_hazard(d, x))
+
+
+def hazard(d: DistributionSpec, x):
+    """f(x) / F-bar(x), computed in log space; scalar or array x.  A hazard
+    past the float range is inf."""
+    return _pointwise(_hazard, d, x)
 
 
 def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:

@@ -19,6 +19,7 @@ from .distributions import (
     HAMBURGER,
     STIELTJES,
     ProductSpec,
+    log_density_on_support,
     log_moment,
     sample_product,
 )
@@ -156,7 +157,7 @@ def quadrature_moment(log_dens: Callable, support: str, k: int) -> float:
     return math.exp(quadrature_log_moment(log_dens, support, k))
 
 
-def quadrature_tail(log_dens: Callable, x: float, hi: Optional[float] = None) -> float:
+def quadrature_tail(log_dens: Callable, x: float) -> float:
     """Upper tail integral of exp(log_dens) from x, for oracle comparisons."""
     from scipy.integrate import quad
 
@@ -171,7 +172,7 @@ def quadrature_tail(log_dens: Callable, x: float, hi: Optional[float] = None) ->
             m = m_new
         if m_new < m - _LOG_CUTOFF:
             break
-    val, err = quad(lambda t: math.exp(g(t) - m), lo, u, limit=400, epsabs=1e-300, epsrel=1e-12)
+    val, _ = quad(lambda t: math.exp(g(t) - m), lo, u, limit=400, epsabs=1e-300, epsrel=1e-12)
     return math.exp(m) * val
 
 
@@ -199,29 +200,22 @@ class CounterexampleDensity:
         return STIELTJES if self.case == STIELTJES_CASE else HAMBURGER
 
     def _log_density_pos(self, x):
-        # ln f at |x| > 0, for an array or an np.float64 x: one closed form with
-        # the same ufuncs for both routes, so both give the same bits
+        # ln f at 0 < |x| < inf, for an array or an np.float64 x: one closed
+        # form with the same ufuncs for both routes, so both give the same bits
         head = np.sqrt(x) if self.case == STIELTJES_CASE else x
         return self.log_norming - head / (1.0 + np.power(np.abs(np.log(x)), self.delta))
 
+    def _log_density_at_zero(self) -> float:
+        # on the real line the origin is a removable point: the modulated
+        # exponent -> 0; the half line (0, inf) excludes it
+        return self.log_norming if self.case == HAMBURGER_CASE else -math.inf
+
     def log_density(self, x):
-        """ln f(x) for a scalar (without building an array) or an array x."""
-        if isinstance(x, float) or np.ndim(x) == 0:   # np.ndim builds an array for a float
-            x = np.float64(x)
-            if self.case == STIELTJES_CASE:
-                return float(self._log_density_pos(x)) if x > 0 else -math.inf
-            # the origin is a removable point: the modulated exponent -> 0
-            return float(self._log_density_pos(abs(x))) if x != 0 else float(self.log_norming)
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, -np.inf)
-        if self.case == STIELTJES_CASE:
-            ok = x > 0
-            out[ok] = self._log_density_pos(x[ok])
-        else:
-            ok = x != 0
-            out[ok] = self._log_density_pos(np.abs(x[ok]))
-            out[~ok] = self.log_norming
-        return out
+        """ln f(x) for a scalar (without building an array) or an array x;
+        -inf off the support, at +-inf and at nan."""
+        return log_density_on_support(CounterexampleDensity._log_density_pos,
+                                      CounterexampleDensity._log_density_at_zero, self, x,
+                                      symmetric=self.case == HAMBURGER_CASE)
 
 
 def build_counterexample(case: str, delta: float) -> CounterexampleDensity:
@@ -255,8 +249,9 @@ def verify_growth_bound(cd: CounterexampleDensity, a: float, kmax: int = 40) -> 
     Moment orders run over all k (stieltjes) or even k (hamburger, where the
     bound is the even-moment form with the 2a convention).
     """
-    if kmax > 60:
-        raise ValueError("kmax above 60 exceeds the quadrature reach")
+    if not 2 <= kmax <= 60:
+        raise ValueError("kmax must be from 2 (the first order checked) to 60 "
+                         f"(the quadrature reach), got {kmax!r}")
     if not a > 0.0:
         raise ValueError("a must be positive")
     if cd.case == STIELTJES_CASE:

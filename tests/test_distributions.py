@@ -82,16 +82,10 @@ class TestDensity:
         assert dist.log_density(dist.ig(1, 1), 1.0) == pytest.approx(
             -0.5 * math.log(2 * math.pi), rel=1e-14)
 
-    def test_strict_mode(self):
-        with pytest.raises(dist.SupportError):
-            dist.log_density(dist.gg(1, 1, 1), -1.0, strict=True)
-        with pytest.raises(dist.SupportError):
-            dist.log_density(dist.ig(1, 1), 0.0, strict=True)
-        assert dist.log_density(dist.gg(1, 1, 1), -1.0) == -math.inf
-
     def test_zero_convention(self):
         # f(0) = 0 whenever gamma != 1, as a removable single point
         assert dist.log_density(dist.gg(1, 1, 2), 0.0) == -math.inf
+        assert dist.log_density(dist.gg(1, 1, 1), -1.0) == -math.inf
         assert dist.log_density(dist.dgg(1, 2, 0.5), 0.0) == -math.inf
         assert math.isfinite(dist.log_density(dist.gg(1, 1, 1), 0.0))
 
@@ -231,10 +225,10 @@ class TestArrayKernels:
     POINTS = np.concatenate([-np.geomspace(1e-2, 1e2, 9), [0.0], np.geomspace(1e-3, 1e4, 40)])
     POSITIVE = np.geomspace(1e-3, 1e4, 40)
 
-    # -0.0 and nan for the support cases of the scalar log-densities; the
+    # -0.0, nan and +-inf for the support cases of the log-densities; the
     # witness exponent |ln x|^delta of a C-library pow differs from np.power
     # in the last bit on a few percent of points, so it gets a denser grid
-    DENSITY_POINTS = np.concatenate([POINTS, [-0.0, np.nan]])
+    DENSITY_POINTS = np.concatenate([POINTS, [-0.0, np.nan, np.inf, -np.inf]])
     WITNESS_POINTS = np.concatenate([DENSITY_POINTS, np.geomspace(1e-3, 1e4, 400)])
 
     @staticmethod
@@ -250,19 +244,30 @@ class TestArrayKernels:
             self._same_bits(dist.log_hazard, d, self.POINTS)
             self._same_bits(dist.log_tail_scaled, d, self.POSITIVE)
             self._same_bits(dist.log_density_scaled, d, self.POSITIVE)
+            self._same_bits(dist.tail, d, self.POINTS)
+            self._same_bits(dist.hazard, d, self.POINTS)
         for case in (ver.STIELTJES_CASE, ver.HAMBURGER_CASE):
             cd = ver.build_counterexample(case, 2.5)
             self._same_bits(ver.CounterexampleDensity.log_density, cd, self.WITNESS_POINTS)
 
-    @pytest.mark.parametrize("d,x", [(dist.gg(1, 1, 2), -1.0), (dist.gg(1, 1, 2), 0.0),
-                                     (dist.dgg(1, 2, 0.5), -0.0), (dist.ig(1, 1), 0.0),
-                                     (dist.ig(1, 1), -2.0), (dist.ig(1, 1), np.nan)])
-    def test_strict_scalar_raises_as_array(self, d, x):
-        with pytest.raises(dist.SupportError) as scalar:
-            dist.log_density(d, x, strict=True)
-        with pytest.raises(dist.SupportError) as array:
-            dist.log_density(d, np.array([x]), strict=True)
-        assert str(scalar.value) == str(array.value)
+    def test_infinite_points_have_zero_density(self, family_grid):
+        # +-inf lie off every support: -inf for a scalar and in an array, and
+        # the closed form (inf - inf, 0 * inf) is never evaluated there
+        infs = np.array([np.inf, -np.inf])
+        densities = [(dist.log_density, d) for d in family_grid]
+        densities += [(ver.CounterexampleDensity.log_density, ver.build_counterexample(case, 2.5))
+                      for case in (ver.STIELTJES_CASE, ver.HAMBURGER_CASE)]
+        for f, d in densities:
+            assert [f(d, x) for x in infs] == [-math.inf, -math.inf], str(d)
+            assert f(d, infs).tolist() == [-math.inf, -math.inf], str(d)
+
+    def test_hazard_past_the_float_range(self):
+        # ln h = 732.4 at the smallest subnormal: inf for a scalar as in an
+        # array, with no OverflowError and no warning
+        d = dist.gg(1, 1, 0.01)
+        assert dist.log_hazard(d, 5e-324) == pytest.approx(732.4, abs=0.1)
+        assert dist.hazard(d, 5e-324) == math.inf
+        assert dist.hazard(d, np.array([5e-324])).tolist() == [math.inf]
 
     def test_hazard_is_scaled_density_over_scaled_tail(self, family_grid):
         # on x > 0 the hazard is the difference of the two scaled kernels,

@@ -218,8 +218,9 @@ class TestVerifyGrowthBound:
 
     def test_kmax_guard(self):
         cd = ver.build_counterexample("stieltjes", 2.0)
-        with pytest.raises(ValueError, match="kmax"):
-            ver.verify_growth_bound(cd, a=2.5, kmax=100)
+        for kmax in (100, 1, 0):
+            with pytest.raises(ValueError, match="kmax"):
+                ver.verify_growth_bound(cd, a=2.5, kmax=kmax)
 
     def test_report_is_truthy_like(self):
         cd = ver.build_counterexample("hamburger", 2.0)
