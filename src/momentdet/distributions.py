@@ -545,8 +545,7 @@ def sample_with(d: DistributionSpec, rng: np.random.Generator, n: int) -> np.nda
             g = rng.gamma(d.gamma / d.beta, size=n)
             x = (g / d.alpha) ** (1.0 / d.beta)
             if d.family == DGG:
-                sign = rng.integers(0, 2, size=n) * 2 - 1
-                x = x * sign
+                np.negative(x, out=x, where=rng.integers(0, 2, size=n) == 0)
             return x
         # IG by the normal-transform method with the mu/(mu+x) acceptance flip.
         mu, lam = d.mu, d.lam
@@ -560,8 +559,8 @@ def sample_product(p: ProductSpec, seed, n: int) -> np.ndarray:
     """Componentwise samples of every factor, multiplied; disjoint substreams."""
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(p.factors))
-    z = np.ones(n)
+    z = sample_with(p.factors[0], np.random.default_rng(children[0]), n)
     with np.errstate(all="ignore"):   # an inf draw times 0 is nan, silently as in sample_with
-        for d, child in zip(p.factors, children):
-            z = z * sample_with(d, np.random.default_rng(child), n)
+        for d, child in zip(p.factors[1:], children[1:]):
+            z *= sample_with(d, np.random.default_rng(child), n)
     return z

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import warnings
@@ -283,6 +284,17 @@ class TestStirling:
         with pytest.raises(ValueError):
             ver.stirling_gamma(0.0)
 
+    def test_finite_where_the_power_alone_overflows(self):
+        # x^(x - 1/2) passes the float range from x ~ 144; Gamma(150) ~ 3.8e260
+        # does not, and the relative error of Stirling is about 1/(12 x)
+        v = ver.stirling_gamma(150.0)
+        assert math.isfinite(v)
+        assert math.log(v) == pytest.approx(math.lgamma(150.0), abs=1e-3)
+
+    def test_past_the_float_range(self):
+        with pytest.raises(OverflowError, match=r"stirling_gamma\(200\.0\)"):
+            ver.stirling_gamma(200.0)
+
 
 class TestDominatingThreshold:
     def test_moderate_gap(self):
@@ -297,6 +309,18 @@ class TestDominatingThreshold:
 
     def test_below_two(self):
         assert ver.dominating_threshold(1.5, 2.0) is None
+
+    @pytest.mark.parametrize("b, delta, u0", [
+        (3.0, 2.0, 45.99324966248312),
+        (4.0, 1.5, 17.247562378118907),
+        # u^delta passes the float range on these two; ln(1 + u^delta) does not
+        (100.0, 100.0, 1491.5263763188161),
+        (1000.0, 150.0, 2330.900445022251),
+    ])
+    def test_threshold_values(self, b, delta, u0):
+        assert ver.dominating_threshold(b, delta) == u0
+        for u in np.linspace(u0, u0 + 50, 20):
+            assert (0.5 - 1 / b) * u > delta * math.log(u) + math.log1p(u ** -delta)
 
 
 class TestMCCrossCheck:
@@ -342,6 +366,30 @@ class TestMCCrossCheck:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="samples are not finite"):
                 ver.mc_cross_check(p, seed=0, n=100_000, kmax=2)
+
+    def test_mirrored_sample_negates_odd_rows(self, monkeypatch):
+        # z and -z: odd rows change sign and even rows keep every bit, so
+        # samples of either sign take the same power kernel
+        p = dist.ProductSpec([dist.dgg(1, 1.5, 1.4)])
+        z = dist.sample_product(p, 3, 100_000)
+        monkeypatch.setattr(ver, "sample_product", lambda p, seed, n: z)
+        rows = ver.mc_cross_check(p, seed=3, n=100_000, kmax=4).rows
+        monkeypatch.setattr(ver, "sample_product", lambda p, seed, n: -z)
+        mirrored = ver.mc_cross_check(p, seed=3, n=100_000, kmax=4).rows
+        for r, m in zip(rows, mirrored):
+            if r.k % 2 == 1:
+                assert r.analytic == 0.0
+                assert m == dataclasses.replace(r, empirical=-r.empirical, z=-r.z), r.k
+            else:
+                assert m == r, r.k
+
+    def test_half_line_rows_pinned(self):
+        # a half-line product keeps every bit of its rows at kmax = 4;
+        # fixtures/mc_rows_ig_ig_exp.txt holds their reprs
+        p = dist.ProductSpec([dist.ig(1, 1), dist.ig(2, 1), dist.exponential()])
+        rep = ver.mc_cross_check(p, seed=0, n=100_000, kmax=4)
+        pinned = (FIXTURES / "mc_rows_ig_ig_exp.txt").read_text().splitlines()
+        assert [repr(r) for r in rep.rows] == pinned
 
     def test_failures_reported_not_raised(self):
         # deliberately wrong analytic target cannot happen through the API, so
