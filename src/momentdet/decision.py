@@ -1,5 +1,5 @@
 """The decision engine: moment-determinacy verdicts for single factors and
-products, with every side condition verified numerically and a rule-code
+products, with every side condition certified in closed form and a rule-code
 citation trail.
 
 Every verdict follows one pattern.  Each factor has a growth exponent
@@ -20,12 +20,9 @@ identifiers; ``explain`` renders them together with the verified evidence.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import criteria
 from .criteria import (
@@ -42,13 +39,11 @@ from .distributions import (
     IG,
     MIXED,
     STIELTJES,
+    LOG_2PI,
     DistributionSpec,
     ProductSpec,
     decreasing_from,
-    log_density,
-    log_density_scaled,
     log_hazard,  # unused here; benchmarks/test_bench_specs.py traces decision.log_hazard
-    log_tail_scaled,
     support_class,
     tail_bound_params,
 )
@@ -59,21 +54,6 @@ M_INDET = "M-indet"
 # float exponent sums within this distance of the threshold cannot be decided
 # without exact rationals
 BOUNDARY_BAND = 0.005
-
-# headroom added to |gamma_t| when bounding the admissible log-log decay of
-# the tail ratio: a correct exponential order leaves at most a polynomial
-# transient, a wrong one decays without bound
-TAIL_SLOPE_HEADROOM = 10.0
-
-# the indeterminacy side conditions are verified on a geometric grid of
-# GRID_POINTS points from the effective x0 to GRID_SPAN times it
-GRID_POINTS = 60
-GRID_SPAN = 1e3
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# a fitted constant that underflows to 0 keeps its log in a note that starts
-# with this prefix (formatted with "A" or "B") and ends with repr(ln value)
-_UNDERFLOW_NOTE = "{0} underflows to 0; ln {0} = "
 
 
 @dataclass(frozen=True)
@@ -219,118 +199,129 @@ _MIXED_CAVEAT = (
 
 
 # ---------------------------------------------------------------------------
-# side-condition verification for the indeterminacy theorems
+# side-condition certificates for the indeterminacy theorems
+#
+# Each factor gets closed-form constants A and B with x h(x) >= A and
+# F-bar(x) >= B x^g e^(-a x^b) for every x from a certified start, (a, b, g)
+# being the envelope of ``tail_bound_params``.  With s = gamma/beta and
+# z = alpha x^beta, F-bar = Gamma(s, z)/Gamma(s) (half of it for DGG) and
+# x h(x) = beta z^s e^(-z)/Gamma(s, z) on x > 0.  The incomplete-gamma bounds
+# are those of Gautschi, J. Math. Phys. 38 (1959), and Natalini & Palumbo,
+# Math. Inequal. Appl. 3 (2000).  Everything is taken in log space, so
+# alpha x^beta is never formed.
+
+_NOTE_HAZARD_S_LE_1 = ("Gamma(s,z) <= z^(s-1) e^-z for s <= 1, "
+                       "so x h(x) >= beta z, increasing in x")
+_NOTE_HAZARD_S_GT_1 = ("Gamma(s,z) <= z^(s-1) e^-z z/(z-s+1) for s > 1, z > s-1, "
+                       "so x h(x) >= beta (z-s+1), increasing in x; the start has z >= s")
+_NOTE_TAIL_S_GE_1 = "Gamma(s,z) >= z^(s-1) e^-z for s >= 1"
+_NOTE_TAIL_S_LT_1 = "Gamma(s,z) >= z^s e^-z/(z+1-s) for s < 1, increasing in z"
+_NOTE_HAZARD_IG = ("F-bar(x) <= sqrt(lam/2pi) e^(lam/mu) x^(-3/2) e^(-kx)/k and "
+                   "f(x) >= sqrt(lam/2pi) e^(lam/mu) x^(-3/2) e^(-kx) e^(-lam/(2 x0)), "
+                   "k = lam/(2 mu^2), so x h(x) >= k x0 e^(-lam/(2 x0))")
+_NOTE_TAIL_IG = ("int_x^inf y^(-3/2) e^(-ky) dy >= x^(-3/2) e^(-kx)/(k + 3/(2x)) and "
+                 "e^(-lam/(2y)) >= e^(-lam/(2 x0)) for y >= x >= x0")
 
 
-def _verification_grid(x0: float) -> np.ndarray:
-    return np.geomspace(x0, x0 * GRID_SPAN, GRID_POINTS)
+def _softplus(t: float) -> float:
+    """ln(1 + e^t) without overflow."""
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
 
-def _verify_decreasing(d: DistributionSpec, index: int, grid: np.ndarray) -> CriterionReport:
-    """Condition (i): the density of the chosen factor is nonincreasing on
-    the grid, which starts beyond the closed-form point where it begins to
-    decrease."""
-    vals = log_density(d, grid)
-    monotone = bool(np.all(np.isfinite(grid))) and bool(np.all(np.diff(vals) <= 1e-12))
-    return CriterionReport(
-        criterion="density_decreasing",
-        status=HOLDS if monotone else FAILS,
-        evidence={
-            "factor_index": index,
-            "factor": str(d),
-            "decreasing_from": decreasing_from(d),
-            "x0_effective": float(grid[0]),
-        },
-        notes=("one decreasing density is required; the verified factor is recorded",),
-    )
-
-
-def _underflowed_log(r: CriterionReport, name: str) -> float:
-    """ln of the fitted constant ``name`` of ``r``, read from its underflow note."""
-    prefix = _UNDERFLOW_NOTE.format(name)
-    return next(float(n[len(prefix):]) for n in r.notes if n.startswith(prefix))
-
-
-def _fitted_constant(log_value: float) -> float:
-    """exp(log_value), clamped at the largest float.  A fitted constant enters
-    a lower bound, so any smaller positive value satisfies it as well."""
-    return sys.float_info.max if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
-
-
-def _verify_envelope(d: DistributionSpec, index: int,
-                     grid: np.ndarray) -> tuple[CriterionReport, CriterionReport]:
-    """Condition (ii) for one factor on one scaled tail: the hazard bound
-    f/F-bar >= A/x and the envelope F-bar(x) >= B x^g e^(-a x^b) with the
-    family-native (a, b, g), A and B fitted at grid minima.  A correct order
-    (a, b) leaves the envelope ratio a polynomial transient of bounded log-log
-    slope; a wrong one drives the slope to minus infinity.  A constant that
-    underflows to 0 gets a note with its log."""
-    a_t, b_t, g_t = tail_bound_params(d)
-    log_ts = log_tail_scaled(d, grid)
-    log_x = np.log(grid)
-    log_xh = log_density_scaled(d, grid) - log_ts + log_x
-    ok_a = bool(np.all(np.isfinite(log_xh)))
-    log_a = float(np.min(log_xh)) if ok_a else float("nan")
-    a_fit = _fitted_constant(log_a)
-    log_ratio = log_ts - g_t * log_x
-    if not np.all(np.isfinite(log_ratio)):
-        ok_b, b_fit, slope = False, float("nan"), float("-inf")
+def _gg_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
+    """(ln x_c, ln A, note, ln B, note) of a GG or DGG factor from x0."""
+    s = d.gamma / d.beta
+    ln_alpha, ln_beta = math.log(d.alpha), math.log(d.beta)
+    ln_z0 = ln_alpha + d.beta * ln_x0
+    if s <= 1.0:
+        ln_xc, ln_a, hazard_note = ln_x0, ln_beta + ln_z0, _NOTE_HAZARD_S_LE_1
     else:
-        span = math.log(grid[-1]) - math.log(grid[-6])
-        slope = float(log_ratio[-1] - log_ratio[-6]) / span
-        ok_b = slope >= -(abs(g_t) + TAIL_SLOPE_HEADROOM)
-        log_b = float(np.min(log_ratio))
-        b_fit = _fitted_constant(log_b) * (1.0 - 1e-9)
+        # from where z >= s on, z - s + 1 >= 1, so A >= beta
+        ln_s = math.log(s)
+        ln_zc = max(ln_z0, ln_s)
+        ln_xc = (ln_zc - ln_alpha) / d.beta if ln_zc > ln_z0 else ln_x0
+        u = ln_zc - ln_s
+        ln_gap = (math.log1p(s * math.expm1(u)) if u < 1.0
+                  else ln_zc + math.log1p(-(s - 1.0) * math.exp(-ln_zc)))
+        ln_a, hazard_note = ln_beta + ln_gap, _NOTE_HAZARD_S_GT_1
+    # s is 0 only where gamma/beta underflows; Gamma(s) is then past the float range
+    ln_b = (s - 1.0) * ln_alpha - (math.lgamma(s) if s > 0.0 else math.inf)
+    tail_note = _NOTE_TAIL_S_GE_1
+    if s < 1.0:
+        # z/(z+1-s) >= 1/(1 + (1-s)/z0) for z >= z0
+        ln_b -= _softplus(math.log1p(-s) - ln_z0)
+        tail_note = _NOTE_TAIL_S_LT_1
+    if d.family == DGG:
+        ln_b += math.log(0.5)
+    return ln_xc, ln_a, hazard_note, ln_b, tail_note
+
+
+def _ig_certificates(d: DistributionSpec, ln_x0: float, x0: float) -> tuple:
+    """(ln x0, ln A, note, ln B, note) of an IG factor from x0."""
+    ln_k = math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
+    damp = d.lam / (2.0 * x0)
+    ln_a = ln_k + ln_x0 - damp
+    ln_b = (0.5 * (math.log(d.lam) - LOG_2PI) + d.lam / d.mu - damp
+            - ln_k - _softplus(math.log(1.5) - ln_x0 - ln_k))
+    return ln_x0, ln_a, _NOTE_HAZARD_IG, ln_b, _NOTE_TAIL_IG
+
+
+def _certify_envelope(d: DistributionSpec, index: int,
+                      x0: float) -> tuple[CriterionReport, CriterionReport]:
+    """Condition (ii) for one factor: the hazard bound x h(x) >= A and the
+    envelope F-bar(x) >= B x^g e^(-a x^b), each with its closed-form ln A or
+    ln B, its certified start and the inequality behind it.  A certificate
+    that is not finite fails."""
+    ln_x0 = math.log(x0)
+    ln_xc, ln_a, hazard_note, ln_b, tail_note = (
+        _ig_certificates(d, ln_x0, x0) if d.family == IG else _gg_certificates(d, ln_x0))
+    a_t, b_t, g_t = tail_bound_params(d)
     return CriterionReport(
         criterion="hazard_bound",
-        status=HOLDS if ok_a else FAILS,
-        evidence={
-            "factor_index": index,
-            "factor": str(d),
-            "A": a_fit,
-            "x0": float(grid[0]),
-            "grid_max": float(grid[-1]),
-        },
-        notes=(_UNDERFLOW_NOTE.format("A") + repr(log_a),) if a_fit == 0.0 else (),
+        status=HOLDS if math.isfinite(ln_a) and math.isfinite(ln_xc) else FAILS,
+        evidence={"factor_index": index, "factor": str(d), "ln_A": ln_a,
+                  "ln_x_start": ln_xc},
+        notes=(hazard_note,),
     ), CriterionReport(
         criterion="tail_bound",
-        status=HOLDS if ok_b else FAILS,
-        evidence={
-            "factor_index": index,
-            "factor": str(d),
-            "B": b_fit,
-            "alpha": a_t,
-            "beta": b_t,
-            "gamma": g_t,
-            "x0": float(grid[0]),
-            "tail_slope": slope,
-        },
-        notes=("inequality verified on a geometric grid with fitted constants; "
-               "the theorems only require existence",)
-        + ((_UNDERFLOW_NOTE.format("B") + repr(log_b),) if b_fit == 0.0 else ()),
+        status=HOLDS if math.isfinite(ln_b) and math.isfinite(ln_x0) else FAILS,
+        evidence={"factor_index": index, "factor": str(d), "ln_B": ln_b,
+                  "alpha": a_t, "beta": b_t, "gamma": g_t, "ln_x_start": ln_x0},
+        notes=(tail_note,),
     )
 
 
 def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
                            cfg: DecisionConfig) -> list[CriterionReport]:
     """Theorems 2, 4, 7, 10 and 11: one (real-line factor, in the mixed case)
-    density eventually decreasing, then the hazard and tail envelopes of
-    every factor, all verified on one grid from the effective x0.
+    density eventually decreasing, then the hazard and tail certificates of
+    every factor, all from the effective x0.
 
-    A grid point or value that overflows becomes inf or nan, which fails the
-    check that meets it.
+    The density of the chosen factor decreases beyond its closed-form
+    ``decreasing_from``; the check fails by name only when that point or the
+    effective x0 is not finite, and so then do the certificates.
     """
     if support == MIXED:
         candidates = [(i, d) for i, d in enumerate(factors) if d.family == DGG]
     else:
         candidates = list(enumerate(factors))
     idx, chosen = min(candidates, key=lambda t: decreasing_from(t[1]))
-    x0_eff = max(cfg.x0, 1.0, decreasing_from(chosen) * (1.0 + 1e-12))
-    with np.errstate(all="ignore"):
-        grid = _verification_grid(x0_eff)
-        reports = [_verify_decreasing(chosen, idx, grid)]
-        for i, d in enumerate(factors):
-            reports.extend(_verify_envelope(d, i, grid))
+    dec_from = decreasing_from(chosen)
+    x0_eff = max(cfg.x0, 1.0, dec_from * (1.0 + 1e-12))
+    reports = [CriterionReport(
+        criterion="density_decreasing",
+        status=HOLDS if math.isfinite(dec_from) and math.isfinite(x0_eff) else FAILS,
+        evidence={
+            "factor_index": idx,
+            "factor": str(chosen),
+            "decreasing_from": dec_from,
+            "x0_effective": x0_eff,
+        },
+        notes=("the density is nonincreasing beyond decreasing_from, in closed form; "
+               "one decreasing density is required and the verified factor is recorded",),
+    )]
+    for i, d in enumerate(factors):
+        reports.extend(_certify_envelope(d, i, x0_eff))
     return reports
 
 
@@ -432,6 +423,10 @@ def ratio_route(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict
 # rendering
 
 
+# evidence keys shown by ``explain``, with their labels
+_SHOWN = {"r_hat": "r_hat", "ln_A": "ln A", "ln_B": "ln B", "factor": "factor"}
+
+
 def explain(v: Verdict) -> str:
     """Deterministic human-readable trail for a verdict."""
     lines = [
@@ -445,10 +440,7 @@ def explain(v: Verdict) -> str:
     if v.side_conditions:
         lines.append("side conditions:")
         for r in v.side_conditions:
-            shown = [(f"ln {key}", _underflowed_log(r, key))
-                     if key in ("A", "B") and val == 0.0 else (key, val)
-                     for key, val in r.evidence.items()
-                     if key in ("r_hat", "A", "B", "factor")]
+            shown = [(_SHOWN[key], val) for key, val in r.evidence.items() if key in _SHOWN]
             detail = ", ".join(
                 f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}"
                 for key, val in shown)

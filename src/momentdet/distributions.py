@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, log_ndtr
+from scipy.special import erfcx, gammaincc, gammaln, log_ndtr
 
 GG = "GG"
 DGG = "DGG"
@@ -36,6 +36,13 @@ _SNAP_MAX_DEN = 1000
 _SNAP_REL_TOL = 1e-12
 # relative step of the central difference in lin_L_numeric
 LIN_REL_STEP = 1e-5
+# the IG tail takes the Mills-ratio difference M(a) - M(a + h) from
+# MILLS_TERMS terms of its asymptotic series from a = MILLS_SERIES_FROM on,
+# and of its Taylor series in h below it for h <= MILLS_TAYLOR_STEP; the
+# first omitted term is then below 1e-16 of the sum
+MILLS_SERIES_FROM = 20.0
+MILLS_TAYLOR_STEP = 0.1
+MILLS_TERMS = 20
 
 
 def exact_rational(value: ParamLike) -> Optional[Fraction]:
@@ -371,17 +378,68 @@ def _log_gammaincc(s: float, z: np.ndarray, scaled: bool = False) -> np.ndarray:
     return out
 
 
+def _mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """M(a) - M(a + h) for a > 0 and h > 0, elementwise, with M(t) =
+    Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2) the normal Mills ratio.
+
+    Nothing is subtracted that cancels when h is small against a:
+    - from a = MILLS_SERIES_FROM on, the asymptotic series
+      M(t) ~ sum_m (-1)^m (2m-1)!! t^-(2m+1) is differenced term by term,
+      each a^-n - b^-n taken as -a^-n expm1(n log1p(-h/b));
+    - below it, for h <= MILLS_TAYLOR_STEP, the Taylor series in h about a,
+      -sum_(n>=1) D_n h^n with D_n = M^(n)(a)/n!, which M' = tM - 1 turns
+      into D_(n+1) = (a D_n + D_(n-1))/(n+1);
+    - otherwise the two erfcx values are subtracted.
+    """
+    b = a + h
+    mills_a = np.sqrt(np.pi / 2.0) * erfcx(a / math.sqrt(2.0))
+    out = mills_a - np.sqrt(np.pi / 2.0) * erfcx(b / math.sqrt(2.0))
+    near = (a < MILLS_SERIES_FROM) & (h <= MILLS_TAYLOR_STEP)
+    if near.any():
+        an, hn = a[near], h[near]
+        d_prev, d = mills_a[near], an * mills_a[near] - 1.0   # D_0, D_1
+        power = hn
+        total = -d * power
+        for n in range(1, MILLS_TERMS):
+            d_prev, d = d, (an * d + d_prev) / (n + 1)
+            power = power * hn
+            total -= d * power
+        out[near] = total
+    far = a >= MILLS_SERIES_FROM
+    if far.any():
+        af = a[far]
+        log_ratio = np.log1p(-h[far] / b[far])      # ln(a/b)
+        inv_a2 = 1.0 / (af * af)
+        power = 1.0 / af                             # a^-(2m+1)
+        coef, total = 1.0, np.zeros(af.shape)        # (-1)^m (2m-1)!!
+        for m in range(MILLS_TERMS):
+            total -= coef * power * np.expm1((2 * m + 1) * log_ratio)
+            coef *= -(2 * m + 1)
+            power = power * inv_a2
+        out[far] = total
+    return out
+
+
 def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np.ndarray:
-    # 1 - F = Phi(-a) - e^(2 lam/mu) Phi(-b) with a, b the usual IG arguments;
-    # evaluated through log_ndtr to survive the near-cancellation at large x.
-    # Complete cancellation gives -inf or nan, never a clamped value.
+    # 1 - F = Phi(-a) - e^(2 lam/mu) Phi(-b) with a, b the usual IG arguments.
+    # For a > 0 this is phi(a) (M(a) - M(b)) exactly, since b^2 - a^2 =
+    # 4 lam/mu, and the Mills-ratio difference keeps its precision far into
+    # the tail; there -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x) in closed
+    # form.  For a <= 0 the first term dominates and log_ndtr serves.
     rt = np.sqrt(d.lam / x)
     a = rt * (x / d.mu - 1.0)
     b = rt * (x / d.mu + 1.0)
-    t1 = log_ndtr(-a)
-    t2 = 2.0 * d.lam / d.mu + log_ndtr(-b)
+    out = np.empty(x.shape)
+    right = a > 0.0
+    ar = a[right]
+    core = np.log(_mills_difference(ar, 2.0 * rt[right])) - 0.5 * LOG_2PI
+    out[right] = core + (d.lam / d.mu - d.lam / (2.0 * x[right]) if scaled else -0.5 * ar * ar)
+    left = ~right                                   # includes nan
+    t1 = log_ndtr(-a[left])
+    t2 = 2.0 * d.lam / d.mu + log_ndtr(-b[left])
     lt = t1 + np.log1p(-np.exp(t2 - t1))
-    return lt + d.lam * x / (2.0 * d.mu ** 2) if scaled else lt
+    out[left] = lt + d.lam * x[left] / (2.0 * d.mu ** 2) if scaled else lt
+    return out
 
 
 def _log_tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -483,7 +541,8 @@ def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:
     decays like x^(-3/2) e^(-lam x / (2 mu^2)), a pure beta = 1 envelope.
     """
     if d.family == IG:
-        return d.lam / (2.0 * d.mu ** 2), 1.0, -1.5
+        # divided in two steps: mu^2 alone underflows to 0 for mu below 1e-162
+        return d.lam / (2.0 * d.mu) / d.mu, 1.0, -1.5
     return d.alpha, d.beta, d.gamma - d.beta
 
 

@@ -347,8 +347,8 @@ def stirling_gamma(x: float) -> float:
     Evaluated in log space, so it is finite wherever the value is; past the
     float range (x above about 171.6) it raises ``OverflowError``.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"x must be a finite positive number, got {x!r}")
     log_value = 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(x) - x
     try:
         return math.exp(log_value)
@@ -362,7 +362,11 @@ def dominating_threshold(b: float, delta: float) -> Optional[float]:
 
     Diagnostic for the growth-bound derivation; None if no threshold below
     e^THRESHOLD_U_MAX exists (the threshold grows explosively as b drops toward 2).
+    A b or delta that is not a finite number raises ``ValueError`` naming it.
     """
+    for name, value in (("b", b), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     if not b > 2.0:
         return None
     gap = 0.5 - 1.0 / b

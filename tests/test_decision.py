@@ -1,14 +1,23 @@
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import mpmath
+except ImportError:  # the certificate suite needs it
+    mpmath = None
 
 from momentdet import criteria as cr
 from momentdet import decision as dec
@@ -23,8 +32,8 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # name -> (factors, x0) of decisions above the threshold: indeterminate, or
 # inconclusive with a side condition failing.  fixtures/envelope_reports.tsv
-# holds json.dumps(decide_product(...).to_dict()) for each, as computed when
-# the hazard and tail checks still took the scaled tail separately.
+# holds json.dumps(decide_product(...).to_dict()) for each, with the
+# closed-form hazard and tail certificates.
 PINNED_ENVELOPES = {
     "GG(1,1/3,1)": ([dist.gg(1, "1/3", 1)], 1.0),
     "DGG(1,1/25,1)": ([dist.dgg(1, "1/25", 1)], 1.0),
@@ -111,18 +120,19 @@ class TestDecideSingle:
         assert v == dec.decide_product(P([d]))
 
     def test_underflowing_tail_constant_noted(self):
-        # the tail ratio falls to about e^-752 on the grid: B underflows, and
-        # a note gives ln B as the hazard check gives ln A
+        # s = 180 and alpha = 1: B = 1/Gamma(180) ~ e^-753 underflows, and the
+        # report and the explanation give its finite log
         v = dec.decide_single(dist.gg(1, "1/20", 9))
         assert v.conclusion == dec.M_INDET
         tail = v.side_conditions[2]
         assert tail.criterion == "tail_bound" and tail.holds
-        assert tail.evidence["B"] == 0.0
-        head, _, log_b = tail.notes[-1].partition("ln B = ")
-        assert head == "B underflows to 0; " and math.isfinite(float(log_b))
+        ln_b = tail.evidence["ln_B"]
+        assert ln_b == pytest.approx(-math.lgamma(180.0), rel=1e-14)
+        assert math.exp(ln_b) == 0.0
+        assert f"ln B={ln_b:.6g}" in dec.explain(v)
 
     def test_overflowing_decreasing_point_named(self):
-        # the density rises up to x ~ 1e335, past the largest float: the grid
+        # the density rises up to x ~ 1e335, past the largest float: the start
         # is not finite, so the checks fail by name instead of raising
         d = dist.gg(1e-3, "1/50", 100)
         with warnings.catch_warnings():
@@ -133,6 +143,19 @@ class TestDecideSingle:
         assert v.caveats == ("unverified: density_decreasing[0], hazard_bound[0], "
                              "tail_bound[0]",)
 
+    @pytest.mark.parametrize("factors,caveats", [
+        # s = gamma/beta underflows to 0, so Gamma(s) and ln B are infinite
+        ([dist.gg(1, 1e300, 1e-300), dist.gg(1, "1/3", 1)], ("unverified: tail_bound[0]",)),
+        # mu^2 underflows to 0; k = lam/(2 mu^2) is past the float range, its log is not
+        ([dist.ig(1e-200, 1), IG11, EXP], ()),
+    ])
+    def test_extreme_parameters_named_not_raised(self, factors, caveats):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = dec.decide_product(P(factors))
+        assert v.conclusion == (cr.INCONCLUSIVE if caveats else dec.M_INDET)
+        assert v.caveats == caveats
+
     @pytest.mark.parametrize("x0", [1e300, 1e306])
     @pytest.mark.parametrize("factors", [[dist.gg(1, "1/3", 1)], [EXP, NORMAL],
                                          [IG11, dist.ig(2, 1), EXP]])
@@ -140,11 +163,10 @@ class TestDecideSingle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v = dec.decide_product(P(factors), dec.DecisionConfig(x0=x0))
-        assert v.conclusion in (dec.M_INDET, cr.INCONCLUSIVE)
-        if x0 * dec.GRID_SPAN == math.inf:
-            # the grid overflows: the decreasing-density check fails by name
-            assert v.conclusion == cr.INCONCLUSIVE
-            assert "density_decreasing" in v.caveats[-1]
+        # every certificate is taken in log space, so a start near the top of
+        # the float range still gives finite constants
+        assert v.conclusion == dec.M_INDET
+        assert all(math.isfinite(r.evidence["ln_x_start"]) for r in v.side_conditions[1:])
 
     def test_boundary_stieltjes_det(self):
         # a = 2 exactly is still determinate
@@ -200,13 +222,25 @@ class TestDecideProduct:
         assert all(r.holds for r in v.side_conditions)
 
     def test_underflowing_hazard_constant_still_holds(self):
-        # x h(x) is about e^-72125 on the grid: A underflows, ln A is finite
+        # lam/(2 x0) = 1000: A = k x0 e^(-lam/(2 x0)) underflows, ln A is finite
+        v = dec.decide_product(P([dist.ig(1, 2000), IG11, EXP]))
+        assert v.conclusion == dec.M_INDET
+        assert v.rule == "Theorem 7; Corollary 2"
+        hazard = v.side_conditions[1]
+        assert hazard.criterion == "hazard_bound" and hazard.holds
+        assert hazard.evidence["ln_A"] == pytest.approx(math.log(1000.0) - 1000.0, rel=1e-15)
+        assert math.exp(hazard.evidence["ln_A"]) == 0.0
+
+    def test_start_past_the_float_range(self):
+        # s = 5000: the hazard certificate starts where alpha x^beta = s, at
+        # x = e^771, which no float holds; its log does, and A = beta there
         v = dec.decide_product(P([dist.gg(1e-3, "1/50", 100), EXP]))
         assert v.conclusion == dec.M_INDET
         assert v.rule == "Theorem 7; Corollary 1"
         hazard = v.side_conditions[1]
-        assert hazard.criterion == "hazard_bound" and hazard.holds
-        assert hazard.evidence["A"] == 0.0 and "ln A = -72125" in hazard.notes[0]
+        assert hazard.evidence["ln_x_start"] == pytest.approx(
+            50 * (math.log(5000.0) - math.log(1e-3)), rel=1e-14)
+        assert hazard.evidence["ln_A"] == pytest.approx(math.log(0.02), rel=1e-14)
 
     def test_exp_normal_indet(self):
         v = dec.decide_product(P([EXP, NORMAL]))
@@ -237,17 +271,24 @@ class TestDecideProduct:
             expected = dec.M_DET if total <= 1 else dec.M_INDET
             assert v.conclusion == expected, betas
 
-    def test_one_grid_per_decision(self, monkeypatch):
-        # one grid per decision, and one scaled tail per factor on it: the
-        # hazard and tail checks of a factor share it
-        calls, tails = [], []
-        geomspace, scaled = np.geomspace, dist._log_tail_scaled
-        monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a) or geomspace(*a, **k))
-        monkeypatch.setattr(dist, "_log_tail_scaled", lambda *a: tails.append(a) or scaled(*a))
+    def test_one_certificate_per_factor(self, monkeypatch):
+        # one closed-form certificate per factor gives both its hazard and
+        # its tail report; no tail or density kernel is evaluated
+        def forbidden(*args):
+            raise AssertionError("a kernel was evaluated")
+        for name in ("_log_tail", "_log_tail_scaled", "_log_density_scaled",
+                     "_log_density_pos", "_log_gammaincc", "_ig_log_tail"):
+            monkeypatch.setattr(dist, name, forbidden)
+        calls = []
+        certify = dec._certify_envelope
+        monkeypatch.setattr(dec, "_certify_envelope",
+                            lambda d, i, x0: calls.append(i) or certify(d, i, x0))
         v = dec.decide_product(P([IG11, dist.ig(2, 1), EXP]))
         assert v.conclusion == dec.M_INDET
-        assert len(calls) == 1
-        assert len(tails) == 3
+        assert calls == [0, 1, 2]
+        assert [(r.criterion, r.evidence["factor_index"]) for r in v.side_conditions] == [
+            ("density_decreasing", 2), ("hazard_bound", 0), ("tail_bound", 0),
+            ("hazard_bound", 1), ("tail_bound", 1), ("hazard_bound", 2), ("tail_bound", 2)]
 
     def test_indet_side_conditions_recorded(self):
         v = dec.decide_product(P([NORMAL, NORMAL, NORMAL]))
@@ -270,21 +311,34 @@ class TestDecideProduct:
         assert "Theorem 2" in v.rule
 
     def test_pre_asymptotic_tail_ratio_not_misflagged(self):
-        # small alpha and beta = 1/3: the tail ratio decays polynomially for
-        # the whole verification grid, which is not an envelope violation
+        # small alpha and beta = 1/3 give s = gamma/beta = 8.61 > 1: the hazard
+        # certificate starts later, where z = alpha x^beta reaches s, with
+        # A = beta; the tail certificate holds from x0
         d = dist.gg(0.117, "1/3", 2.87)
-        _, rep = dec._verify_envelope(d, 0, dec._verification_grid(1.0))
-        assert rep.holds
+        hazard, tail = dec._certify_envelope(d, 0, 1.0)
+        assert hazard.holds and tail.holds
+        s = 2.87 / (1 / 3)
+        assert hazard.evidence["ln_x_start"] == pytest.approx(
+            3 * (math.log(s) - math.log(0.117)), rel=1e-12)
+        assert hazard.evidence["ln_A"] == pytest.approx(math.log(1 / 3), rel=1e-12)
+        assert tail.evidence["ln_x_start"] == 0.0
+        assert tail.evidence["ln_B"] == pytest.approx(
+            (s - 1) * math.log(0.117) - math.lgamma(s), rel=1e-12)
 
-    def test_wrong_envelope_order_rejected(self, monkeypatch):
-        # pretend a Gaussian-type tail had a pure-exponential envelope: the
-        # slope gate must catch the mismatch
-        d = dist.dgg(0.5, 2, 1)
-        monkeypatch.setattr(dec, "tail_bound_params", lambda _: (0.5, 1.0, -1.0))
-        wrong_scaled = lambda dd, x: dist.log_tail(dd, x) + 0.5 * x
-        monkeypatch.setattr(dec, "log_tail_scaled", wrong_scaled)
-        _, rep = dec._verify_envelope(d, 0, dec._verification_grid(1.0))
-        assert not rep.holds
+    def test_envelope_order_is_family_native(self):
+        # the tail certificate is for the family's own order (a, b, g), and
+        # both bounds hold against the tail kernels from their starts on
+        for d in (dist.dgg(0.5, 2, 1), dist.gg(0.117, "1/3", 2.87), dist.gg(2, 3, "1/2"),
+                  dist.ig(2, 3), dist.ig(0.05, 40)):
+            hazard, tail = dec._certify_envelope(d, 0, 2.0)
+            a, b, g = dist.tail_bound_params(d)
+            assert (tail.evidence["alpha"], tail.evidence["beta"], tail.evidence["gamma"]) \
+                == (a, b, g)
+            for u in (0.0, 1.0, 3.0, 6.0):
+                x = math.exp(tail.evidence["ln_x_start"] + u)
+                assert dist.log_tail(d, x) >= tail.evidence["ln_B"] + g * math.log(x) - a * x ** b
+                x = math.exp(hazard.evidence["ln_x_start"] + u)
+                assert math.log(x) + dist.log_hazard(d, x) >= hazard.evidence["ln_A"], str(d)
 
     @pytest.mark.parametrize("beta", ["20/3", 10])
     def test_steep_factor_hazard(self, beta):
@@ -294,29 +348,31 @@ class TestDecideProduct:
         assert v.conclusion == dec.M_INDET
         assert v.rule == "Theorem 7; Corollary 1"
 
-    def test_fitted_constant_clamped(self):
-        # ln(F-bar / envelope) stays near lam/mu ~ 1830 on the grid: B is the
-        # largest float, still a valid constant for the lower bound
-        _, rep = dec._verify_envelope(dist.ig(0.39, 713), 0, dec._verification_grid(1.0))
+    def test_overflowing_tail_constant_has_finite_log(self):
+        # lam/mu ~ 1828: B is past the float range, and the certificate keeps
+        # its log instead of clamping it
+        _, rep = dec._certify_envelope(dist.ig(0.39, 713), 0, 1.0)
         assert rep.holds
-        assert rep.evidence["B"] == sys.float_info.max * (1.0 - 1e-9)
+        k = 713 / (2 * 0.39 ** 2)
+        expected = 0.5 * math.log(713 / (2 * math.pi)) + 713 / 0.39 - 713 / 2 - math.log(k + 1.5)
+        assert rep.evidence["ln_B"] == pytest.approx(expected, rel=1e-14)
+        assert rep.evidence["ln_B"] > math.log(sys.float_info.max)
 
     def test_envelope_reports_pinned(self):
-        # one scaled tail per factor feeds both checks: the reports keep
-        # every byte they had when each check computed its own
+        # the certificates are closed forms: every report keeps its bytes
         pinned = load_pinned_envelopes()
         assert sorted(pinned) == sorted(PINNED_ENVELOPES)
         for name, (factors, x0) in PINNED_ENVELOPES.items():
             v = dec.decide_product(P(factors), dec.DecisionConfig(x0=x0))
             assert json.dumps(v.to_dict()) == pinned[name], name
 
-    def test_tail_cancellation_names_the_check(self):
-        # from x0 = 1e7 the IG tail cancels completely on part of the grid;
-        # the failing checks are named instead of an exception escaping
+    def test_far_start_ig_product_indet(self):
+        # from x0 = 1e7 a sampled IG tail used to cancel completely; the
+        # certificates take no tail value and hold from that start
         v = dec.decide_product(P([IG11, IG11, EXP]), dec.DecisionConfig(x0=1e7))
-        assert v.conclusion == cr.INCONCLUSIVE
-        assert v.rule == "side conditions unverified"
-        assert "tail_bound[0]" in v.caveats[0]
+        assert v.conclusion == dec.M_INDET
+        assert v.rule == "Theorem 7; Corollary 2"
+        assert {r.evidence["ln_x_start"] for r in v.side_conditions[1:]} == {math.log(1e7)}
 
 
 class TestRatioRoute:
@@ -509,7 +565,7 @@ def test_fuzz_total_and_sound():
     parameter space, and every conclusive verdict obeys the exact
     exponent-sum rule."""
     rng = random.Random(20240)
-    for _ in range(300):
+    for _ in range(1000):
         drawn = [_fuzz_factor(rng) for _ in range(rng.randint(1, 4))]
         p = P([d for d, _ in drawn])
         exact_sum = sum((a for _, a in drawn), Fraction(0))
@@ -517,6 +573,81 @@ def test_fuzz_total_and_sound():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v = dec.decide_product(p)
+        # the certificates are finite over the whole range: nothing above the
+        # threshold stays unverified
+        assert v.rule != "side conditions unverified", (str(p), v.caveats)
         if v.conclusion != cr.INCONCLUSIVE:
             expected = dec.M_DET if exact_sum <= threshold else dec.M_INDET
             assert v.conclusion == expected, str(p)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the parameter ranges of _fuzz_factor
+_SHAPES = (_log_uniform(1e-3, 1e3), _log_uniform(0.03, 30.0), _log_uniform(0.01, 100.0))
+FUZZ_FACTORS = st.one_of(st.builds(dist.gg, *_SHAPES), st.builds(dist.dgg, *_SHAPES),
+                         st.builds(dist.ig, _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e3)))
+
+
+def _mp_tail_ratio_and_hazard(d, ln_x):
+    """ln(F-bar(x) / (x^g e^(-a x^b))) with the exact envelope (a, b, g) that
+    tail_bound_params rounds, and ln(x h(x)), at x = e^ln_x.  Computed with
+    50 digits beyond the size of a x^b, which cancels in both."""
+    a, b, _ = dist.tail_bound_params(d)
+    size = max(1.0, math.log(a) + b * ln_x, math.log(d.lam / d.mu) if d.family == dist.IG else 0)
+    with mpmath.workdps(50 + int(size / math.log(10))):
+        ln_x = mpmath.mpf(ln_x)
+        x = mpmath.exp(ln_x)
+        if d.family == dist.IG:
+            mu, lam = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+            rt = mpmath.sqrt(lam / x)
+            ln_tail = mpmath.log(mpmath.ncdf(-rt * (x / mu - 1))
+                                 - mpmath.exp(2 * lam / mu) * mpmath.ncdf(-rt * (x / mu + 1)))
+            ln_f = (mpmath.log(lam / (2 * mpmath.pi)) - 3 * ln_x) / 2 \
+                - lam * (x - mu) ** 2 / (2 * mu ** 2 * x)
+            ln_env = -1.5 * ln_x - lam / (2 * mu ** 2) * x
+            return float(ln_tail - ln_env), float(ln_x + ln_f - ln_tail)
+        s = mpmath.mpf(d.gamma) / mpmath.mpf(d.beta)
+        ln_z = mpmath.log(d.alpha) + mpmath.mpf(d.beta) * ln_x
+        z = mpmath.exp(ln_z)                       # the envelope exponent alpha x^beta
+        ln_upper = mpmath.log(mpmath.gammainc(s, z))
+        ln_tail = ln_upper - mpmath.loggamma(s) - (mpmath.log(2) if d.family == dist.DGG else 0)
+        ln_env = (mpmath.mpf(d.gamma) - d.beta) * ln_x - z
+        # x f(x) = beta z^s e^-z / Gamma(s) on x > 0, halved for DGG as the tail is
+        return float(ln_tail - ln_env), float(mpmath.log(d.beta) + s * ln_z - z - ln_upper)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@given(d=FUZZ_FACTORS, ln_x0=st.floats(0.0, 5.0), u=st.floats(0.0, 6.0))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_certificates_hold_against_mpmath(d, ln_x0, u):
+    """Both certificates of a factor are finite, and at x = start e^u the
+    50-digit tail and hazard satisfy F-bar(x) >= B x^g e^(-a x^b) and
+    x h(x) >= A, up to the rounding of the closed forms."""
+    hazard, tail = dec._certify_envelope(d, 0, math.exp(ln_x0))
+    assert hazard.holds and tail.holds
+    ln_a, ln_b = hazard.evidence["ln_A"], tail.evidence["ln_B"]
+    starts = hazard.evidence["ln_x_start"], tail.evidence["ln_x_start"]
+    assert all(math.isfinite(v) for v in (ln_a, ln_b, *starts))
+    ln_ratio, _ = _mp_tail_ratio_and_hazard(d, starts[1] + u)
+    assert ln_ratio >= ln_b - 1e-12 * (1 + abs(ln_b)), str(d)
+    _, ln_xh = _mp_tail_ratio_and_hazard(d, starts[0] + u)
+    assert ln_xh >= ln_a - 1e-12 * (1 + abs(ln_a)), str(d)
+
+
+def test_indet_decision_loads_no_heavy_module():
+    # the certificates are a few math operations: an indeterminate decision
+    # imports neither mpmath nor the quadrature and root-finding modules
+    src = str(pathlib.Path(dec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from momentdet import decision as dec, distributions as dist; "
+            "v = dec.decide_product(dist.ProductSpec([dist.ig(1, 1), dist.ig(2, 1), "
+            "dist.exponential(), dist.std_normal(), dist.gg(1, '1/3', 1)])); "
+            "print(v.conclusion, [m for m in ('mpmath', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "M-indet []"

@@ -300,12 +300,35 @@ class TestArrayKernels:
         got = dist.log_moment(dist.ig(mu, lam), self.ORDERS)
         assert np.max(np.abs(got - np.array(ref))) <= 1e-11
 
-    def test_ig_tail_cancellation_is_not_finite(self):
-        # at x = 1e12 the two IG tail terms cancel completely in double
-        # precision: the value is non-finite, not an exception
+    def test_ig_tail_far_out_is_finite(self):
+        # at x = 1e12 the two normal-tail terms of the IG tail agree in every
+        # double digit; as phi(a) times a Mills-ratio difference the tail
+        # stays finite, and the hazard tends to lam/(2 mu^2) from above
         d = dist.ig(1, 1)
-        assert not math.isfinite(dist.log_tail(d, 1e12))
-        assert not math.isfinite(dist.log_hazard(d, 1e12))
+        assert dist.log_tail(d, 1e12) == pytest.approx(-0.5e12, rel=1e-9)
+        assert math.log(0.5) < dist.log_hazard(d, 1e12) < math.log(0.5) + 1e-11
+
+    @pytest.mark.parametrize("mu,lam,x", [
+        (1.0, 1.0, 1e6), (1.0, 1.0, 1e8), (1.0, 1.0, 1e10), (7.5, 0.047, 1e12),
+        (0.13, 6.6, 1e10), (1e-3, 1e3, 1e4),
+        # the Taylor route: a below the asymptotic range and b - a small
+        (644.0, 1.28e-3, 1.04e11), (1e3, 1e-3, 1e9),
+        # the erfcx route and the a <= 0 route
+        (1.0, 1.0, 3.0), (2.0, 3.0, 0.5),
+    ])
+    def test_ig_tail_scaled_matches_mpmath(self, mu, lam, x):
+        # ln F-bar + lam x/(2 mu^2) against Phi(-a) - e^(2 lam/mu) Phi(-b)
+        # evaluated with 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m, l, xx = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpf(x)
+            rt = mpmath.sqrt(l / xx)
+            tail = mpmath.ncdf(-rt * (xx / m - 1)) \
+                - mpmath.exp(2 * l / m) * mpmath.ncdf(-rt * (xx / m + 1))
+            ref = float(mpmath.log(tail) + l * xx / (2 * m ** 2))
+        got = dist.log_tail_scaled(dist.ig(mu, lam), x)
+        assert math.isfinite(got)
+        assert abs(got - ref) <= 1e-9, (got, ref)
 
     def test_steep_hazard_in_closed_form(self):
         # alpha x^beta reaches 1e20 on this grid; the hazard still follows

@@ -284,6 +284,11 @@ class TestStirling:
         with pytest.raises(ValueError):
             ver.stirling_gamma(0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_named(self, x):
+        with pytest.raises(ValueError, match=r"^x must be a finite positive number"):
+            ver.stirling_gamma(x)
+
     def test_finite_where_the_power_alone_overflows(self):
         # x^(x - 1/2) passes the float range from x ~ 144; Gamma(150) ~ 3.8e260
         # does not, and the relative error of Stirling is about 1/(12 x)
@@ -309,6 +314,16 @@ class TestDominatingThreshold:
 
     def test_below_two(self):
         assert ver.dominating_threshold(1.5, 2.0) is None
+
+    @pytest.mark.parametrize("b, delta, name", [
+        (math.nan, 2.0, "b"), (3.0, math.nan, "delta"), (math.inf, 2.0, "b"),
+    ])
+    def test_non_finite_named(self, b, delta, name):
+        # a nan b is not "below two", and a nan delta does not reach logaddexp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+                ver.dominating_threshold(b, delta)
 
     @pytest.mark.parametrize("b, delta, u0", [
         (3.0, 2.0, 45.99324966248312),
