@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     DGG,
@@ -24,6 +23,7 @@ from .distributions import (
     HAMBURGER,
     ProductSpec,
     STIELTJES,
+    _special,
     lin_L,
     lin_L_numeric,
     log_moment,
@@ -278,7 +278,7 @@ def hardy_check(s: LogMomentSequence) -> CriterionReport:
         raise ValueError("hardy_check needs an all-order sequence")
     _require_horizon(s)
     k = s.orders.astype(float)
-    scores = (s.values - gammaln(2.0 * k + 1.0)) / k
+    scores = (s.values - _special().gammaln(2.0 * k + 1.0)) / k
     return _bound_check("hardy", s.orders, scores, s.k_max,
                         "score trend sits in the boundary band; growth is k^(2k) "
                         "times a slowly varying factor")
@@ -292,7 +292,7 @@ def cramer_check(s: LogMomentSequence) -> CriterionReport:
         s = LogMomentSequence(orders=s.orders[keep], values=s.values[keep],
                               parity=PARITY_EVEN, source=s.source)
     j = s.orders.astype(float)  # j = 2k
-    scores = (s.values - gammaln(j + 1.0)) / (j / 2.0)
+    scores = (s.values - _special().gammaln(j + 1.0)) / (j / 2.0)
     return _bound_check("cramer", s.orders, scores, s.k_max,
                         "score trend sits in the boundary band")
 

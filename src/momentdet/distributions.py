@@ -9,6 +9,7 @@ several hundred stay representable.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -16,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy.special import erfcx, gammaincc, gammaln, log_ndtr
 
 GG = "GG"
 DGG = "DGG"
@@ -196,6 +196,19 @@ def support_class(p: ProductSpec) -> str:
     return MIXED
 
 
+@functools.cache
+def _special():
+    """The ``scipy.special`` module, imported on the first call.
+
+    Only the kernels that evaluate a special function call this, so a
+    decision or a Lin check never loads SciPy.  The cache binds the module
+    once: a per-call ``import`` statement would cost more than the scalar
+    density it serves.
+    """
+    import scipy.special
+    return scipy.special
+
+
 # ---------------------------------------------------------------------------
 # densities
 
@@ -203,7 +216,7 @@ def support_class(p: ProductSpec) -> str:
 def _log_norming(d: DistributionSpec) -> float:
     # GG: c = beta alpha^(gamma/beta) / Gamma(gamma/beta); DGG halves it.
     s = d.gamma / d.beta
-    lc = math.log(d.beta) + s * math.log(d.alpha) - gammaln(s)
+    lc = math.log(d.beta) + s * math.log(d.alpha) - _special().gammaln(s)
     if d.family == DGG:
         lc -= math.log(2.0)
     return lc
@@ -279,6 +292,7 @@ def log_moment(d: DistributionSpec, k):
     if d.family == IG:
         out = _ig_log_moments(d, int(ks.max()))[ks]
     else:
+        gammaln = _special().gammaln
         s = d.gamma / d.beta
         out = (-ks / d.beta) * math.log(d.alpha) + gammaln((d.gamma + ks) / d.beta) - gammaln(s)
         if d.family == DGG:
@@ -365,15 +379,16 @@ def _log_gammaincc(s: float, z: np.ndarray, scaled: bool = False) -> np.ndarray:
     ``scaled`` returns ln(Q(s, z) * e^z), which stays accurate when z is so
     large that Q underflows (needed for tail bounds out to z ~ 1e9).
     """
+    special = _special()
     out = z.copy() if scaled else np.zeros(z.shape)   # the z <= 0 value
     near = (z > 0.0) & (z < s + 30.0)
     far = ~(near | (z <= 0.0))                        # includes nan
     zn = z[near]
-    lq = np.log(gammaincc(s, zn))
+    lq = np.log(special.gammaincc(s, zn))
     out[near] = lq + zn if scaled else lq
     zf = z[far]
     if zf.size:
-        body = s * np.log(zf) - gammaln(s) + _log_upper_gamma_cf(s, zf)
+        body = s * np.log(zf) - special.gammaln(s) + _log_upper_gamma_cf(s, zf)
         out[far] = body if scaled else body - zf
     return out
 
@@ -391,6 +406,7 @@ def _mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
       into D_(n+1) = (a D_n + D_(n-1))/(n+1);
     - otherwise the two erfcx values are subtracted.
     """
+    erfcx = _special().erfcx
     b = a + h
     mills_a = np.sqrt(np.pi / 2.0) * erfcx(a / math.sqrt(2.0))
     out = mills_a - np.sqrt(np.pi / 2.0) * erfcx(b / math.sqrt(2.0))
@@ -435,6 +451,7 @@ def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np
     core = np.log(_mills_difference(ar, 2.0 * rt[right])) - 0.5 * LOG_2PI
     out[right] = core + (d.lam / d.mu - d.lam / (2.0 * x[right]) if scaled else -0.5 * ar * ar)
     left = ~right                                   # includes nan
+    log_ndtr = _special().log_ndtr
     t1 = log_ndtr(-a[left])
     t2 = 2.0 * d.lam / d.mu + log_ndtr(-b[left])
     lt = t1 + np.log1p(-np.exp(t2 - t1))
@@ -443,8 +460,12 @@ def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np
 
 
 def _log_tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape)                           # x <= 0 on the half line
-    pos = x > 0.0
+    # the tail is 1 at -inf and at x <= 0 on the half line, 0 at +inf, and nan
+    # at nan; the kernels below see only finite points
+    out = np.zeros(x.shape)
+    out[x == math.inf] = -math.inf
+    out[np.isnan(x)] = math.nan
+    pos = (x > 0.0) & (x < math.inf)
     xp = x[pos]
     if d.family == IG:
         out[pos] = _ig_log_tail(d, xp)
@@ -454,7 +475,7 @@ def _log_tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
         out[pos] = _log_gammaincc(s, d.alpha * xp ** d.beta)
         return out
     # DGG, symmetric about 0
-    neg = x < 0.0
+    neg = (x < 0.0) & (x > -math.inf)
     q = np.exp(_log_gammaincc(s, d.alpha * (-x[neg]) ** d.beta))
     out[neg] = np.log1p(-0.5 * q)
     out[x == 0.0] = math.log(0.5)
@@ -516,7 +537,20 @@ def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     if not pos.all():
         rest = x[~pos]
         out[~pos] = log_density(d, rest) - _log_tail(d, rest)
+    top = x == math.inf
+    if top.any():
+        out[top] = _log_hazard_limit(d)
     return out
+
+
+def _log_hazard_limit(d: DistributionSpec) -> float:
+    # ln h(x) as x -> inf: h(x) ~ alpha_t beta_t x^(beta_t - 1) with the
+    # envelope of tail_bound_params, lam/(2 mu^2) for IG
+    if d.family == IG:
+        return math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
+    if d.beta == 1.0:
+        return math.log(d.alpha)
+    return math.copysign(math.inf, d.beta - 1.0)
 
 
 def log_hazard(d: DistributionSpec, x):

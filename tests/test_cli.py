@@ -384,12 +384,92 @@ GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden"
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # only the quadrature oracle and Krein use them; they import on first call
-    code = ("import sys, momentdet.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    # only the quadrature oracle and Krein use them, and only the kernels that
+    # evaluate a special function use scipy.special; they import on first call
+    code = ("import sys, momentdet.cli; print([m for m in "
+            "('scipy.special', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# runs the CLI as `python -m momentdet.cli` would, then reports the exit code
+# and whether scipy.special was loaded
+RUN_CLI_AND_REPORT_SPECIAL = (
+    "import runpy, sys\n"
+    "sys.argv = ['momentdet'] + sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_module('momentdet.cli', run_name='__main__')\n"
+    "except SystemExit as e:\n"
+    "    code = e.code\n"
+    "print(code, 'scipy.special' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("argv,spec,expected", [
+    (("analyze",), "det", "0 False"),
+    (("analyze",), "indet", "10 False"),
+    (("analyze",), "band", "20 False"),
+    (("criterion", "lin"), "single", "0 False"),
+    # the ratio route scores moment sequences with lnGamma
+    (("analyze", "--ratio"), "indet", "10 True"),
+])
+def test_commands_load_scipy_special_only_where_a_special_function_runs(
+        tmp_path, argv, spec, expected):
+    # a decision needs the exponent sum and closed-form certificates made of
+    # math calls, and the Lin check a closed form: neither loads scipy.special
+    specs = {
+        "det": str(GOLDEN / "light.json"),
+        "indet": str(GOLDEN / "product.json"),
+        # 1/2 + 1/2.0001 is a float sum inside the boundary band of 1
+        "band": write_spec(tmp_path, {"factors": [
+            {"family": "DGG", "alpha": 1, "beta": 2, "gamma": 1},
+            {"family": "DGG", "alpha": 1, "beta": 2.0001, "gamma": 1}]}, "band.json"),
+        "single": write_spec(tmp_path, {"factors": [
+            {"family": "GG", "alpha": 1, "beta": 3, "gamma": 2}]}, "single.json"),
+    }
+    out = subprocess.run([sys.executable, "-c", RUN_CLI_AND_REPORT_SPECIAL, *argv, specs[spec]],
+                         env=src_env(), capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == expected
+
+
+# Each case calls kernels that evaluate a special function.  In a fresh
+# interpreter the first of those calls binds scipy.special, and every value
+# must keep the bits it has in a process where SciPy is already loaded.
+FIRST_USE_SETUP = """
+import numpy as np
+from momentdet import criteria as crit, distributions as dist
+GG, DGG, IG = dist.gg(2, 1.5, 0.7), dist.dgg(0.5, 2, 3), dist.ig(1, 1)
+XS = np.concatenate([-np.geomspace(1e-2, 1e2, 5), np.geomspace(1e-3, 1e4, 9)])
+# one point per route of the IG tail: a <= 0 (log_ndtr), two erfcx values,
+# the Taylor and the asymptotic series of the Mills-ratio difference
+IG_ROUTES = ((2.0, 3.0, 0.5), (1.0, 1.0, 3.0), (644.0, 1.28e-3, 1.04e11), (1.0, 1.0, 1e6))
+# the IG moments come from a recurrence, so building this sequence binds nothing
+IG_SEQ = crit.LogMomentSequence.from_distribution(IG)
+def shown(values):
+    return repr([v.tolist() if isinstance(v, np.ndarray) else v for v in values])
+"""
+FIRST_USE_CASES = {
+    "log_density": "[dist.log_density(d, x) for d in (GG, DGG) for x in (0.7, -1.3, XS)]",
+    "log_moment": "[dist.log_moment(d, k) for d in (GG, DGG) for k in (6, np.arange(1, 41))]",
+    "log_tail_gg_dgg": "[dist.log_tail(d, x) for d in (GG, DGG) for x in (0.7, XS)]",
+    "log_tail_ig": "[dist.log_tail(dist.ig(mu, lam), x) for mu, lam, x in IG_ROUTES]",
+    "hazard": "[dist.hazard(d, x) for d in (GG, DGG, IG) for x in (0.7, XS)]",
+    "hardy_check": "[crit.hardy_check(IG_SEQ)]",
+    "cramer_check": "[crit.cramer_check(IG_SEQ)]",
+}
+
+
+@pytest.mark.parametrize("case", FIRST_USE_CASES)
+def test_first_use_of_scipy_special_keeps_the_bits(case):
+    namespace = {}
+    exec(FIRST_USE_SETUP, namespace)
+    expected = namespace["shown"](eval(FIRST_USE_CASES[case], namespace))
+    code = (FIRST_USE_SETUP + "import sys\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"print(shown({FIRST_USE_CASES[case]}))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == expected
 
 
 class TestGoldenBytes:

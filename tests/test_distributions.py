@@ -261,6 +261,22 @@ class TestArrayKernels:
             assert [f(d, x) for x in infs] == [-math.inf, -math.inf], str(d)
             assert f(d, infs).tolist() == [-math.inf, -math.inf], str(d)
 
+    @pytest.mark.parametrize("kernel", ["log_tail", "tail", "log_hazard", "hazard"])
+    def test_tails_and_hazards_at_non_finite_points(self, family_grid, kernel):
+        # at +inf, -inf and nan: the tail is 0, 1 (also for DGG) and nan, and
+        # the hazard its limit alpha_t beta_t x^(beta_t - 1), 0 and nan; for a
+        # scalar as in an array, and without a warning
+        points = np.array([np.inf, -np.inf, np.nan])
+        f = getattr(dist, kernel)
+        for d in family_grid:
+            a_t, b_t, _ = dist.tail_bound_params(d)
+            ln_limit = math.log(a_t) if b_t == 1.0 else math.copysign(math.inf, b_t - 1.0)
+            log_values = [ln_limit, -math.inf, math.nan] if kernel.endswith("hazard") \
+                else [-math.inf, 0.0, math.nan]
+            expected = log_values if kernel.startswith("log_") else np.exp(log_values)
+            for got in ([f(d, x) for x in points], f(d, points)):
+                np.testing.assert_allclose(got, expected, rtol=1e-15, err_msg=str(d))
+
     def test_hazard_past_the_float_range(self):
         # ln h = 732.4 at the smallest subnormal: inf for a scalar as in an
         # array, with no OverflowError and no warning
