@@ -16,8 +16,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from . import criteria, decision, verify as verify_mod
 from .criteria import LogMomentSequence
@@ -26,6 +24,7 @@ from .distributions import (
     IG,
     DistributionSpec,
     ProductSpec,
+    _NumPyOnFirstUse,
     chi_square,
     dgg,
     exponential,
@@ -36,6 +35,8 @@ from .distributions import (
     log_moment,
     std_normal,
 )
+
+np = _NumPyOnFirstUse(globals())
 
 EXIT_MDET = 0
 EXIT_HOLDS = 0

@@ -15,20 +15,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .distributions import (
     DGG,
     DistributionSpec,
     HAMBURGER,
     ProductSpec,
     STIELTJES,
+    _NumPyOnFirstUse,
     _special,
     lin_L,
     lin_L_numeric,
     log_moment,
     support_class,
 )
+
+np = _NumPyOnFirstUse(globals())
 
 DEFAULT_K_HORIZON = 200
 MIN_K_HORIZON = 40

@@ -16,7 +16,33 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-import numpy as np
+
+class _NumPyOnFirstUse:
+    """A module's global ``np`` until the module first needs NumPy.
+
+    The first attribute lookup imports NumPy and rebinds ``np`` in the owning
+    module's globals to the real module, so every later ``np.`` is a plain
+    global lookup and the scalar density pays nothing per call.  A decision
+    never looks, so ``momentdet analyze`` does not load NumPy.
+
+    The ``import`` statement holds the import system's lock on ``numpy``: a
+    thread that arrives while another is still importing it waits for the
+    complete module.  ``sys.modules`` only ever holds the real NumPy.  No
+    module may touch its ``np`` while it is being imported.
+    """
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _NumPyOnFirstUse(globals())
 
 GG = "GG"
 DGG = "DGG"
@@ -373,13 +399,19 @@ def _log_upper_gamma_cf(s: float, z: np.ndarray) -> np.ndarray:
     return np.log(h)
 
 
-def _log_gammaincc(s: float, z: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """ln Q(s, z), the regularized upper incomplete gamma, elementwise.
+def _log_gammaincc(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np.ndarray:
+    """ln Q(s, z) at s = gamma/beta and z = alpha x^beta for x >= 0, with Q the
+    regularized upper incomplete gamma, elementwise.
 
     ``scaled`` returns ln(Q(s, z) * e^z), which stays accurate when z is so
-    large that Q underflows (needed for tail bounds out to z ~ 1e9).
+    large that Q underflows (needed for tail bounds out to z ~ 1e9).  Where
+    alpha x^beta overflows, ln z = ln alpha + beta ln x is taken in log space,
+    and the continued fraction by its limit 1/z where z itself overflows: Q is
+    then 0, and the scaled value is finite.
     """
     special = _special()
+    s = d.gamma / d.beta
+    z = d.alpha * x ** d.beta
     out = z.copy() if scaled else np.zeros(z.shape)   # the z <= 0 value
     near = (z > 0.0) & (z < s + 30.0)
     far = ~(near | (z <= 0.0))                        # includes nan
@@ -388,19 +420,30 @@ def _log_gammaincc(s: float, z: np.ndarray, scaled: bool = False) -> np.ndarray:
     out[near] = lq + zn if scaled else lq
     zf = z[far]
     if zf.size:
-        body = s * np.log(zf) - special.gammaln(s) + _log_upper_gamma_cf(s, zf)
+        log_z = np.log(zf)
+        over = zf == math.inf
+        if over.any():
+            log_z[over] = math.log(d.alpha) + d.beta * np.log(x[far][over])
+            zf[over] = np.exp(log_z[over])            # finite where only x^beta overflowed
+        log_cf = -log_z
+        fin = zf < math.inf
+        log_cf[fin] = _log_upper_gamma_cf(s, zf[fin])
+        body = s * log_z - special.gammaln(s) + log_cf
         out[far] = body if scaled else body - zf
     return out
 
 
-def _mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """M(a) - M(a + h) for a > 0 and h > 0, elementwise, with M(t) =
+def _log_mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """ln(M(a) - M(a + h)) for a > 0 and h > 0, elementwise, with M(t) =
     Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2) the normal Mills ratio.
 
-    Nothing is subtracted that cancels when h is small against a:
+    Nothing is subtracted that cancels when h is small against a, and nothing
+    underflows where the difference is below the float range:
     - from a = MILLS_SERIES_FROM on, the asymptotic series
-      M(t) ~ sum_m (-1)^m (2m-1)!! t^-(2m+1) is differenced term by term,
-      each a^-n - b^-n taken as -a^-n expm1(n log1p(-h/b));
+      M(t) ~ sum_m (-1)^m (2m-1)!! t^-(2m+1) is differenced term by term.
+      With b = a + h and q = a/b, a^-n - b^-n = a^-n (h/b) E_n with
+      E_n = 1 + q + ... + q^(n-1), a sum of positive terms, and the common
+      factor h/(a b) is taken in log space;
     - below it, for h <= MILLS_TAYLOR_STEP, the Taylor series in h about a,
       -sum_(n>=1) D_n h^n with D_n = M^(n)(a)/n!, which M' = tM - 1 turns
       into D_(n+1) = (a D_n + D_(n-1))/(n+1);
@@ -422,17 +465,21 @@ def _mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
             total -= d * power
         out[near] = total
     far = a >= MILLS_SERIES_FROM
+    out[~far] = np.log(out[~far])
     if far.any():
-        af = a[far]
-        log_ratio = np.log1p(-h[far] / b[far])      # ln(a/b)
+        af, bf = a[far], b[far]
+        q = af / bf
         inv_a2 = 1.0 / (af * af)
-        power = 1.0 / af                             # a^-(2m+1)
+        power = np.ones(af.shape)                    # a^-2m
         coef, total = 1.0, np.zeros(af.shape)        # (-1)^m (2m-1)!!
+        e_n, q_n = np.ones(af.shape), q              # E_(2m+1), q^(2m+1)
         for m in range(MILLS_TERMS):
-            total -= coef * power * np.expm1((2 * m + 1) * log_ratio)
+            total += coef * power * e_n
+            e_n = e_n + q_n * (1.0 + q)
+            q_n = q_n * (q * q)
             coef *= -(2 * m + 1)
             power = power * inv_a2
-        out[far] = total
+        out[far] = np.log(h[far]) - np.log(af) - np.log(bf) + np.log(total)
     return out
 
 
@@ -448,7 +495,7 @@ def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np
     out = np.empty(x.shape)
     right = a > 0.0
     ar = a[right]
-    core = np.log(_mills_difference(ar, 2.0 * rt[right])) - 0.5 * LOG_2PI
+    core = _log_mills_difference(ar, 2.0 * rt[right]) - 0.5 * LOG_2PI
     out[right] = core + (d.lam / d.mu - d.lam / (2.0 * x[right]) if scaled else -0.5 * ar * ar)
     left = ~right                                   # includes nan
     log_ndtr = _special().log_ndtr
@@ -470,16 +517,15 @@ def _log_tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     if d.family == IG:
         out[pos] = _ig_log_tail(d, xp)
         return out
-    s = d.gamma / d.beta
     if d.family == GG:
-        out[pos] = _log_gammaincc(s, d.alpha * xp ** d.beta)
+        out[pos] = _log_gammaincc(d, xp)
         return out
     # DGG, symmetric about 0
     neg = (x < 0.0) & (x > -math.inf)
-    q = np.exp(_log_gammaincc(s, d.alpha * (-x[neg]) ** d.beta))
+    q = np.exp(_log_gammaincc(d, -x[neg]))
     out[neg] = np.log1p(-0.5 * q)
     out[x == 0.0] = math.log(0.5)
-    out[pos] = math.log(0.5) + _log_gammaincc(s, d.alpha * xp ** d.beta)
+    out[pos] = math.log(0.5) + _log_gammaincc(d, xp)
     return out
 
 
@@ -500,7 +546,7 @@ def tail(d: DistributionSpec, x):
 def _log_tail_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     if d.family == IG:
         return _ig_log_tail(d, x, scaled=True)
-    lq = _log_gammaincc(d.gamma / d.beta, d.alpha * x ** d.beta, scaled=True)
+    lq = _log_gammaincc(d, x, scaled=True)
     return lq + math.log(0.5) if d.family == DGG else lq
 
 

@@ -13,16 +13,17 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .distributions import (
     HAMBURGER,
     STIELTJES,
     ProductSpec,
+    _NumPyOnFirstUse,
     log_density_on_support,
     log_moment,
     sample_product,
 )
+
+np = _NumPyOnFirstUse(globals())
 
 # quadrature supports, named by their support class
 POSITIVE_HALF_LINE = STIELTJES

@@ -384,39 +384,44 @@ GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden"
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # only the quadrature oracle and Krein use them, and only the kernels that
-    # evaluate a special function use scipy.special; they import on first call
+    # only the quadrature oracle and Krein use them, only the kernels that
+    # evaluate a special function use scipy.special, and each module binds
+    # NumPy on its first array operation; they import on first call
     code = ("import sys, momentdet.cli; print([m for m in "
-            "('scipy.special', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+            "('numpy', 'scipy.special', 'scipy.integrate', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
 
 
 # runs the CLI as `python -m momentdet.cli` would, then reports the exit code
-# and whether scipy.special was loaded
-RUN_CLI_AND_REPORT_SPECIAL = (
+# and whether scipy.special and NumPy were loaded
+RUN_CLI_AND_REPORT_IMPORTS = (
     "import runpy, sys\n"
     "sys.argv = ['momentdet'] + sys.argv[1:]\n"
     "try:\n"
     "    runpy.run_module('momentdet.cli', run_name='__main__')\n"
     "except SystemExit as e:\n"
     "    code = e.code\n"
-    "print(code, 'scipy.special' in sys.modules)\n")
+    "print(code, 'scipy.special' in sys.modules,\n"
+    "      any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules))\n")
 
 
 @pytest.mark.parametrize("argv,spec,expected", [
-    (("analyze",), "det", "0 False"),
-    (("analyze",), "indet", "10 False"),
-    (("analyze",), "band", "20 False"),
-    (("criterion", "lin"), "single", "0 False"),
+    (("analyze",), "det", "0 False False"),
+    (("analyze",), "indet", "10 False False"),
+    (("analyze",), "band", "20 False False"),
+    # the Lin check fits its power slope with np.polyfit
+    (("criterion", "lin"), "single", "0 False True"),
     # the ratio route scores moment sequences with lnGamma
-    (("analyze", "--ratio"), "indet", "10 True"),
+    (("analyze", "--ratio"), "indet", "10 True True"),
+    (("analyze",), "slow", "10 False False"),
 ])
 def test_commands_load_scipy_special_only_where_a_special_function_runs(
         tmp_path, argv, spec, expected):
     # a decision needs the exponent sum and closed-form certificates made of
-    # math calls, and the Lin check a closed form: neither loads scipy.special
+    # math calls: it loads neither NumPy nor scipy.special; the Lin check is
+    # a closed form that loads NumPy only
     specs = {
         "det": str(GOLDEN / "light.json"),
         "indet": str(GOLDEN / "product.json"),
@@ -426,8 +431,11 @@ def test_commands_load_scipy_special_only_where_a_special_function_runs(
             {"family": "DGG", "alpha": 1, "beta": 2.0001, "gamma": 1}]}, "band.json"),
         "single": write_spec(tmp_path, {"factors": [
             {"family": "GG", "alpha": 1, "beta": 3, "gamma": 2}]}, "single.json"),
+        # one GG factor with a growth exponent of 20, an indeterminate single
+        "slow": write_spec(tmp_path, {"factors": [
+            {"family": "GG", "alpha": 1, "beta": "1/20", "gamma": 1}]}, "slow.json"),
     }
-    out = subprocess.run([sys.executable, "-c", RUN_CLI_AND_REPORT_SPECIAL, *argv, specs[spec]],
+    out = subprocess.run([sys.executable, "-c", RUN_CLI_AND_REPORT_IMPORTS, *argv, specs[spec]],
                          env=src_env(), capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == expected
 
@@ -470,6 +478,73 @@ def test_first_use_of_scipy_special_keeps_the_bits(case):
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == expected
+
+
+# Each case makes the first NumPy-needing calls of a fresh interpreter, which
+# must give the values they give here, and reports whether the modules' np
+# is NumPy itself, so no stand-in is left on a hot path.
+FIRST_NUMPY_SETUP = """
+import contextlib, io, sys, threading
+from momentdet import cli, criteria as crit, distributions as dist, verify as ver
+GG, IG = dist.gg(2, 1.5, 0.7), dist.ig(1, 2)
+P = dist.ProductSpec([IG, dist.dgg(1, 2, 3)])
+def plain(v):
+    return v.tolist() if hasattr(v, "tolist") else v
+def calls():
+    seq = crit.LogMomentSequence.from_product(P, 40)
+    return repr([dist.log_density(GG, 1.3), plain(dist.log_moment(IG, [1, 5, 9])),
+                 plain(seq.orders), plain(seq.values), crit.condition_L_check(GG),
+                 plain(dist.sample_product(P, 11, 5))])
+def bound(*modules):
+    return all(m.np is sys.modules["numpy"] for m in modules)
+"""
+# name -> (code run before the setup, code run after it, expected stdout);
+# the child gets the golden verify spec and report as its arguments
+FIRST_NUMPY_CASES = {
+    # the calls bind NumPy in distributions and criteria, a verify run binds
+    # it in verify and cli
+    "fresh": ("", """
+assert "numpy" not in sys.modules
+print(calls())
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    cli.main(["verify", sys.argv[1]])
+print(report.getvalue() == open(sys.argv[2]).read(), bound(dist, crit, ver, cli))
+""", "{calls}\nTrue True"),
+    # a NumPy imported before momentdet is the one bound
+    "numpy_imported_first": ("import numpy\n", """
+print(calls())
+print(dist.np is numpy and crit.np is numpy)
+""", "{calls}\nTrue"),
+    # a thread that needs NumPy while another is importing it waits for the
+    # whole module; more threads than cores, switching every microsecond
+    "concurrent_threads": ("", """
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(4)
+shown = [None] * 4
+def first(i):
+    barrier.wait()
+    shown[i] = calls()
+threads = [threading.Thread(target=first, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+print(*shown, bound(dist, crit), sep="\\n")
+""", "{calls}\n" * 4 + "True"),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_NUMPY_CASES)
+def test_first_use_of_numpy_keeps_the_bits(case):
+    before, after, expected = FIRST_NUMPY_CASES[case]
+    namespace = {}
+    exec(FIRST_NUMPY_SETUP, namespace)
+    expected = expected.format(calls=namespace["calls"]())
+    out = subprocess.run([sys.executable, "-c", before + FIRST_NUMPY_SETUP + after,
+                          str(GOLDEN / "light.json"), str(GOLDEN / "verify.out")],
+                         env=src_env(), capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == expected.splitlines()
 
 
 class TestGoldenBytes:

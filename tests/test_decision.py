@@ -639,15 +639,15 @@ def test_certificates_hold_against_mpmath(d, ln_x0, u):
 
 def test_indet_decision_loads_no_heavy_module():
     # the certificates are a few math operations: an indeterminate decision
-    # imports neither mpmath, nor the special functions, nor the quadrature
-    # and root-finding modules
+    # imports neither NumPy, nor mpmath, nor the special functions, nor the
+    # quadrature and root-finding modules
     src = str(pathlib.Path(dec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys; from momentdet import decision as dec, distributions as dist; "
             "v = dec.decide_product(dist.ProductSpec([dist.ig(1, 1), dist.ig(2, 1), "
             "dist.exponential(), dist.std_normal(), dist.gg(1, '1/3', 1)])); "
-            "print(v.conclusion, [m for m in ('mpmath', 'scipy.special', 'scipy.integrate', "
+            "print(v.conclusion, [m for m in ('numpy', 'mpmath', 'scipy.special', 'scipy.integrate', "
             "'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

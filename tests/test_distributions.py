@@ -346,6 +346,52 @@ class TestArrayKernels:
         assert math.isfinite(got)
         assert abs(got - ref) <= 1e-9, (got, ref)
 
+    @staticmethod
+    def _reference_past_the_float_range(d, x):
+        # (ln F-bar, ln F-bar + alpha_t x^beta_t, ln h) with 50 digits, formed
+        # without a cancellation: for GG and DGG from the regularized upper
+        # incomplete gamma; for IG as phi(a) D with D = M(a) - M(a + h) =
+        # int_0^inf exp(-u^2/2 - a u) (1 - e^(-h u)) du, taken in v = a u and
+        # divided by h/a, since quad stops at an absolute error of 1e-50
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            xx = mpmath.mpf(x)
+            if d.family == dist.IG:
+                m, l = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+                rt = mpmath.sqrt(l / xx)
+                a = rt * (xx / m - 1)
+                rho = 2 * rt / a
+                integral = mpmath.quad(lambda v: mpmath.exp(-v * v / (2 * a * a) - v)
+                                       * -mpmath.expm1(-rho * v) / rho, [0, 1, mpmath.inf])
+                log_d = mpmath.log(integral * rho / a) - mpmath.log(2 * mpmath.pi) / 2
+                return (float(log_d - a * a / 2), float(log_d + l / m - l / (2 * xx)),
+                        float(mpmath.log(l / (2 * mpmath.pi * xx ** 3)) / 2 - log_d))
+            a, b, g = (mpmath.mpf(v) for v in (d.alpha, d.beta, d.gamma))
+            s, z = g / b, a * xx ** b
+            q = mpmath.gammainc(s, z, regularized=True)
+            c = b * a ** s / mpmath.gamma(s)       # the DGG halves of f and F-bar cancel in h
+            half = mpmath.log(2) if d.family == dist.DGG else 0
+            return (float(mpmath.log(q) - half), float(mpmath.log(q * mpmath.exp(z)) - half),
+                    float(mpmath.log(c * xx ** (g - 1) * mpmath.exp(-z) / q)))
+
+    @pytest.mark.parametrize("d,x", [
+        # alpha x^beta = 1e400 overflows: the tail is 0 and ln h = ln 2x
+        (dist.gg(1, 2, 3), 1e200), (dist.dgg(1, 2, 3), 1e200),
+        # only x^beta overflows; alpha x^beta = 1e300
+        (dist.gg(1e-20, 2, 3), 1e160),
+        # the Mills difference is about 1e-450 and the log-tail about -5e299
+        (dist.ig(1, 1), 1e300), (dist.ig(2, 3), 1e305),
+    ], ids=["GG", "DGG", "GG-x^beta", "IG", "IG-1e305"])
+    def test_tails_and_hazards_past_the_float_range(self, d, x):
+        # the incomplete-gamma argument is taken in log space and the IG
+        # Mills difference as a log, for a scalar as in an array, without a
+        # warning
+        expected = self._reference_past_the_float_range(d, x)
+        kernels = (dist.log_tail, dist.log_tail_scaled, dist.log_hazard)
+        for f, ref in zip(kernels, expected):
+            for got in (f(d, x), f(d, np.array([x, 1.0]))[0]):
+                assert got == pytest.approx(ref, rel=1e-13, abs=1e-12), (f.__name__, got, ref)
+
     def test_steep_hazard_in_closed_form(self):
         # alpha x^beta reaches 1e20 on this grid; the hazard still follows
         # its asymptote alpha beta x^(beta - 1) (1 + O(x^-beta))
