@@ -24,7 +24,7 @@ from .distributions import (
     IG,
     DistributionSpec,
     ProductSpec,
-    _NumPyOnFirstUse,
+    _OnFirstUse,
     chi_square,
     dgg,
     exponential,
@@ -36,7 +36,7 @@ from .distributions import (
     std_normal,
 )
 
-np = _NumPyOnFirstUse(globals())
+np = _OnFirstUse(globals(), "np", "numpy")
 
 EXIT_MDET = 0
 EXIT_HOLDS = 0

@@ -21,15 +21,16 @@ from .distributions import (
     HAMBURGER,
     ProductSpec,
     STIELTJES,
-    _NumPyOnFirstUse,
-    _special,
+    _OnFirstUse,
     lin_L,
     lin_L_numeric,
     log_moment,
     support_class,
 )
 
-np = _NumPyOnFirstUse(globals())
+np = _OnFirstUse(globals(), "np", "numpy")
+special = _OnFirstUse(globals(), "special", "scipy.special")
+integrate = _OnFirstUse(globals(), "integrate", "scipy.integrate")
 
 DEFAULT_K_HORIZON = 200
 MIN_K_HORIZON = 40
@@ -279,7 +280,7 @@ def hardy_check(s: LogMomentSequence) -> CriterionReport:
         raise ValueError("hardy_check needs an all-order sequence")
     _require_horizon(s)
     k = s.orders.astype(float)
-    scores = (s.values - _special().gammaln(2.0 * k + 1.0)) / k
+    scores = (s.values - special.gammaln(2.0 * k + 1.0)) / k
     return _bound_check("hardy", s.orders, scores, s.k_max,
                         "score trend sits in the boundary band; growth is k^(2k) "
                         "times a slowly varying factor")
@@ -293,7 +294,7 @@ def cramer_check(s: LogMomentSequence) -> CriterionReport:
         s = LogMomentSequence(orders=s.orders[keep], values=s.values[keep],
                               parity=PARITY_EVEN, source=s.source)
     j = s.orders.astype(float)  # j = 2k
-    scores = (s.values - _special().gammaln(j + 1.0)) / (j / 2.0)
+    scores = (s.values - special.gammaln(j + 1.0)) / (j / 2.0)
     return _bound_check("cramer", s.orders, scores, s.k_max,
                         "score trend sits in the boundary band")
 
@@ -380,8 +381,6 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
     increments mean infinite.  Status ``holds`` means finite, the
     indeterminacy-side condition (sufficient only together with regularity).
     """
-    from scipy.integrate import quad
-
     if case not in (STIELTJES, HAMBURGER):
         raise ValueError(f"case must be {STIELTJES!r} or {HAMBURGER!r}")
     rungs = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
@@ -406,7 +405,7 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
     prev = float(x0)
     for t in rungs:
         with np.errstate(invalid="ignore"):
-            val, _ = quad(integrand, prev, t, limit=400)
+            val, _ = integrate.quad(integrand, prev, t, limit=400)
         if not math.isfinite(val):
             raise ValueError("integrand is not integrable on the tail region; criterion inapplicable")
         acc += val

@@ -9,7 +9,7 @@ several hundred stay representable.
 """
 from __future__ import annotations
 
-import functools
+import importlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -17,32 +17,32 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 
-class _NumPyOnFirstUse:
-    """A module's global ``np`` until the module first needs NumPy.
+class _OnFirstUse:
+    """A module's global ``name`` until the module first uses ``module``.
 
-    The first attribute lookup imports NumPy and rebinds ``np`` in the owning
-    module's globals to the real module, so every later ``np.`` is a plain
-    global lookup and the scalar density pays nothing per call.  A decision
-    never looks, so ``momentdet analyze`` does not load NumPy.
-
-    The ``import`` statement holds the import system's lock on ``numpy``: a
-    thread that arrives while another is still importing it waits for the
-    complete module.  ``sys.modules`` only ever holds the real NumPy.  No
-    module may touch its ``np`` while it is being imported.
+    The first attribute lookup imports ``module`` and rebinds ``name`` in the
+    owning module's globals, so later uses are plain global lookups and a
+    decision, which never looks, loads neither NumPy nor SciPy.  The import
+    holds the import system's lock on ``module``, as the ``import`` statement
+    does, so a second thread waits for the complete module.  No module may
+    touch such a name while it is being imported.
     """
 
-    __slots__ = ("_namespace",)
+    __slots__ = ("_namespace", "_name", "_module")
 
-    def __init__(self, namespace: dict):
+    def __init__(self, namespace: dict, name: str, module: str):
         self._namespace = namespace
+        self._name = name
+        self._module = module
 
-    def __getattr__(self, name: str):
-        import numpy
-        self._namespace["np"] = numpy
-        return getattr(numpy, name)
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._module)
+        self._namespace[self._name] = module
+        return getattr(module, attr)
 
 
-np = _NumPyOnFirstUse(globals())
+np = _OnFirstUse(globals(), "np", "numpy")
+special = _OnFirstUse(globals(), "special", "scipy.special")
 
 GG = "GG"
 DGG = "DGG"
@@ -222,19 +222,6 @@ def support_class(p: ProductSpec) -> str:
     return MIXED
 
 
-@functools.cache
-def _special():
-    """The ``scipy.special`` module, imported on the first call.
-
-    Only the kernels that evaluate a special function call this, so a
-    decision or a Lin check never loads SciPy.  The cache binds the module
-    once: a per-call ``import`` statement would cost more than the scalar
-    density it serves.
-    """
-    import scipy.special
-    return scipy.special
-
-
 # ---------------------------------------------------------------------------
 # densities
 
@@ -242,7 +229,7 @@ def _special():
 def _log_norming(d: DistributionSpec) -> float:
     # GG: c = beta alpha^(gamma/beta) / Gamma(gamma/beta); DGG halves it.
     s = d.gamma / d.beta
-    lc = math.log(d.beta) + s * math.log(d.alpha) - _special().gammaln(s)
+    lc = math.log(d.beta) + s * math.log(d.alpha) - special.gammaln(s)
     if d.family == DGG:
         lc -= math.log(2.0)
     return lc
@@ -318,9 +305,9 @@ def log_moment(d: DistributionSpec, k):
     if d.family == IG:
         out = _ig_log_moments(d, int(ks.max()))[ks]
     else:
-        gammaln = _special().gammaln
         s = d.gamma / d.beta
-        out = (-ks / d.beta) * math.log(d.alpha) + gammaln((d.gamma + ks) / d.beta) - gammaln(s)
+        out = (-ks / d.beta) * math.log(d.alpha) + special.gammaln((d.gamma + ks) / d.beta) \
+            - special.gammaln(s)
         if d.family == DGG:
             out = np.where(ks % 2 == 1, -np.inf, out)
     return float(out) if ks.ndim == 0 else out
@@ -409,7 +396,6 @@ def _log_gammaincc(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> 
     and the continued fraction by its limit 1/z where z itself overflows: Q is
     then 0, and the scaled value is finite.
     """
-    special = _special()
     s = d.gamma / d.beta
     z = d.alpha * x ** d.beta
     out = z.copy() if scaled else np.zeros(z.shape)   # the z <= 0 value
@@ -449,10 +435,9 @@ def _log_mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
       into D_(n+1) = (a D_n + D_(n-1))/(n+1);
     - otherwise the two erfcx values are subtracted.
     """
-    erfcx = _special().erfcx
     b = a + h
-    mills_a = np.sqrt(np.pi / 2.0) * erfcx(a / math.sqrt(2.0))
-    out = mills_a - np.sqrt(np.pi / 2.0) * erfcx(b / math.sqrt(2.0))
+    mills_a = np.sqrt(np.pi / 2.0) * special.erfcx(a / math.sqrt(2.0))
+    out = mills_a - np.sqrt(np.pi / 2.0) * special.erfcx(b / math.sqrt(2.0))
     near = (a < MILLS_SERIES_FROM) & (h <= MILLS_TAYLOR_STEP)
     if near.any():
         an, hn = a[near], h[near]
@@ -490,17 +475,22 @@ def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np
     # the tail; there -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x) in closed
     # form.  For a <= 0 the first term dominates and log_ndtr serves.
     rt = np.sqrt(d.lam / x)
-    a = rt * (x / d.mu - 1.0)
-    b = rt * (x / d.mu + 1.0)
+    q = x / d.mu
+    a = rt * (q - 1.0)
+    b = rt * (q + 1.0)
+    over = q == math.inf                            # form a and b without x/mu there
+    if over.any():
+        root = math.sqrt(d.lam) * np.sqrt(x[over]) / d.mu
+        a[over] = root - rt[over]
+        b[over] = root + rt[over]
     out = np.empty(x.shape)
     right = a > 0.0
     ar = a[right]
     core = _log_mills_difference(ar, 2.0 * rt[right]) - 0.5 * LOG_2PI
     out[right] = core + (d.lam / d.mu - d.lam / (2.0 * x[right]) if scaled else -0.5 * ar * ar)
     left = ~right                                   # includes nan
-    log_ndtr = _special().log_ndtr
-    t1 = log_ndtr(-a[left])
-    t2 = 2.0 * d.lam / d.mu + log_ndtr(-b[left])
+    t1 = special.log_ndtr(-a[left])
+    t2 = 2.0 * d.lam / d.mu + special.log_ndtr(-b[left])
     lt = t1 + np.log1p(-np.exp(t2 - t1))
     out[left] = lt + d.lam * x[left] / (2.0 * d.mu ** 2) if scaled else lt
     return out
@@ -545,9 +535,12 @@ def tail(d: DistributionSpec, x):
 
 def _log_tail_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     if d.family == IG:
-        return _ig_log_tail(d, x, scaled=True)
-    lq = _log_gammaincc(d, x, scaled=True)
-    return lq + math.log(0.5) if d.family == DGG else lq
+        out = _ig_log_tail(d, x, scaled=True)
+    else:
+        out = _log_gammaincc(d, x, scaled=True)
+        if d.family == DGG:
+            out += math.log(0.5)
+    return _at_inf(d, x, out, 1)
 
 
 def log_tail_scaled(d: DistributionSpec, x):
@@ -570,7 +563,7 @@ def _log_density_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
 def log_density_scaled(d: DistributionSpec, x):
     """ln( f(x) * exp(+alpha_t x^beta_t) ) in closed form, the partner of
     ``log_tail_scaled``; scalar or array x > 0."""
-    return _pointwise(_log_density_scaled, d, x)
+    return _pointwise(lambda d, x: _at_inf(d, x, _log_density_scaled(d, x), 0), d, x)
 
 
 def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
@@ -583,20 +576,30 @@ def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     if not pos.all():
         rest = x[~pos]
         out[~pos] = log_density(d, rest) - _log_tail(d, rest)
+    return _at_inf(d, x, out, 2)
+
+
+def _at_inf(d: DistributionSpec, x: np.ndarray, out: np.ndarray, which: int) -> np.ndarray:
+    # out with its values at x = +inf, where the closed forms read 0 * inf or
+    # inf - inf, set to the limit: of the scaled density (which = 0), the
+    # scaled tail (1) or the hazard (2).  With s = gamma/beta and z = alpha
+    # x^beta, GG and DGG go like ln c + (gamma - 1) ln x, (s - 1) ln z -
+    # ln Gamma(s) (exactly 0 at s = 1) and ln(alpha beta x^(beta - 1)); IG
+    # like -3/2 ln x twice and, with the envelope of tail_bound_params, to
+    # ln(lam/(2 mu^2))
     top = x == math.inf
-    if top.any():
-        out[top] = _log_hazard_limit(d)
-    return out
-
-
-def _log_hazard_limit(d: DistributionSpec) -> float:
-    # ln h(x) as x -> inf: h(x) ~ alpha_t beta_t x^(beta_t - 1) with the
-    # envelope of tail_bound_params, lam/(2 mu^2) for IG
+    if not top.any():
+        return out
     if d.family == IG:
-        return math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
-    if d.beta == 1.0:
-        return math.log(d.alpha)
-    return math.copysign(math.inf, d.beta - 1.0)
+        limits = -math.inf, -math.inf, math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
+    else:
+        s = d.gamma / d.beta
+        limits = (_log_norming(d) if d.gamma == 1.0 else math.copysign(math.inf, d.gamma - 1.0),
+                  (math.log(0.5) if d.family == DGG else 0.0)
+                  + (0.0 if s == 1.0 else math.copysign(math.inf, s - 1.0)),
+                  math.log(d.alpha) if d.beta == 1.0 else math.copysign(math.inf, d.beta - 1.0))
+    out[top] = limits[which]
+    return out
 
 
 def log_hazard(d: DistributionSpec, x):

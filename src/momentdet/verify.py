@@ -17,13 +17,15 @@ from .distributions import (
     HAMBURGER,
     STIELTJES,
     ProductSpec,
-    _NumPyOnFirstUse,
+    _OnFirstUse,
     log_density_on_support,
     log_moment,
     sample_product,
 )
 
-np = _NumPyOnFirstUse(globals())
+np = _OnFirstUse(globals(), "np", "numpy")
+integrate = _OnFirstUse(globals(), "integrate", "scipy.integrate")
+optimize = _OnFirstUse(globals(), "optimize", "scipy.optimize")
 
 # quadrature supports, named by their support class
 POSITIVE_HALF_LINE = STIELTJES
@@ -69,9 +71,6 @@ def _log_integral(log_dens: Callable, power: float, sign: float = 1.0) -> float:
     integrand, so the integral never depends on how ``log_dens`` handles
     arrays.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import minimize_scalar
-
     def g(u):
         return power * u + log_dens(sign * math.exp(u))
 
@@ -88,7 +87,7 @@ def _log_integral(log_dens: Callable, power: float, sign: float = 1.0) -> float:
         lo, hi = lo - 40.0, hi + 40.0
     else:
         raise QuadratureError("no interior integrand peak found", float("nan"))
-    res = minimize_scalar(lambda u: -g(u), bracket=(us[i - 1], us[i], us[i + 1]))
+    res = optimize.minimize_scalar(lambda u: -g(u), bracket=(us[i - 1], us[i], us[i + 1]))
     u0 = float(res.x)
     m = g(u0)
     if not math.isfinite(m):
@@ -104,8 +103,8 @@ def _log_integral(log_dens: Callable, power: float, sign: float = 1.0) -> float:
     ulo = expand(u0 - 1.0, -1.0)
     uhi = expand(u0 + 1.0, +1.0)
     f = lambda u: math.exp(g(u) - m)
-    i1, e1 = quad(f, ulo, u0, limit=300, epsabs=1e-14, epsrel=1e-12)
-    i2, e2 = quad(f, u0, uhi, limit=300, epsabs=1e-14, epsrel=1e-12)
+    i1, e1 = integrate.quad(f, ulo, u0, limit=300, epsabs=1e-14, epsrel=1e-12)
+    i2, e2 = integrate.quad(f, u0, uhi, limit=300, epsabs=1e-14, epsrel=1e-12)
     total = i1 + i2
     if total <= 0.0 or (e1 + e2) > 1e-8 * total:
         raise QuadratureError("quadrature failed to converge", m + math.log(max(total, 1e-300)))
@@ -160,8 +159,6 @@ def quadrature_moment(log_dens: Callable, support: str, k: int) -> float:
 
 def quadrature_tail(log_dens: Callable, x: float) -> float:
     """Upper tail integral of exp(log_dens) from x, for oracle comparisons."""
-    from scipy.integrate import quad
-
     g = lambda u: u + log_dens(math.exp(u))
     lo = math.log(x)
     m = g(lo)
@@ -173,7 +170,7 @@ def quadrature_tail(log_dens: Callable, x: float) -> float:
             m = m_new
         if m_new < m - _LOG_CUTOFF:
             break
-    val, _ = quad(lambda t: math.exp(g(t) - m), lo, u, limit=400, epsabs=1e-300, epsrel=1e-12)
+    val, _ = integrate.quad(lambda t: math.exp(g(t) - m), lo, u, limit=400, epsabs=1e-300, epsrel=1e-12)
     return math.exp(m) * val
 
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -394,6 +395,50 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     assert out.strip() == "[]"
 
 
+def _is_heavy(module):
+    return isinstance(module, str) and module.split(".")[0] in ("numpy", "scipy")
+
+
+def test_numpy_and_scipy_load_only_on_first_use():
+    # Each module binds NumPy and SciPy as module globals of the form
+    # `name = _OnFirstUse(globals(), "name", module)`, and the first attribute
+    # lookup on one imports its module and rebinds `name`.  No module imports
+    # them any other way, so none can load them at import time or pay for an
+    # import statement per call; a binding under another global than `name`
+    # would never be rebound, and every bound name is used.
+    for path in sorted(pathlib.Path(cli.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loader = [n for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_OnFirstUse"
+                  for n in c.body if isinstance(n, ast.FunctionDef) and n.name == "__getattr__"]
+        exempt = {id(n) for f in loader for n in ast.walk(f)}
+        bindings = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and getattr(node.value.func, "id", None) == "_OnFirstUse":
+                call = node.value
+                namespace, name, _ = call.args
+                assert ast.unparse(namespace) == "globals()", f"{path.name}:{node.lineno}"
+                assert [ast.unparse(t) for t in node.targets] == [name.value], \
+                    f"{path.name}:{node.lineno} binds {name.value!r} under another name"
+                bindings[id(call)] = name.value
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Import):
+                assert not any(_is_heavy(a.name) for a in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level > 0 or not _is_heavy(node.module), where
+            elif isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if func.endswith("import_module") or func == "__import__":
+                    assert not any(_is_heavy(getattr(a, "value", None)) for a in node.args), where
+                if func == "_OnFirstUse":
+                    assert id(node) in bindings, f"{where}: not a module-level binding"
+        assert set(bindings.values()) <= used, f"{path.name} binds a name it never uses"
+
+
 # runs the CLI as `python -m momentdet.cli` would, then reports the exit code
 # and whether scipy.special and NumPy were loaded
 RUN_CLI_AND_REPORT_IMPORTS = (
@@ -481,8 +526,9 @@ def test_first_use_of_scipy_special_keeps_the_bits(case):
 
 
 # Each case makes the first NumPy-needing calls of a fresh interpreter, which
-# must give the values they give here, and reports whether the modules' np
-# is NumPy itself, so no stand-in is left on a hot path.
+# must give the values they give here, and reports whether the modules' np,
+# special, integrate and optimize are the modules themselves, so no stand-in
+# is left on a hot path.
 FIRST_NUMPY_SETUP = """
 import contextlib, io, sys, threading
 from momentdet import cli, criteria as crit, distributions as dist, verify as ver
@@ -494,22 +540,26 @@ def calls():
     seq = crit.LogMomentSequence.from_product(P, 40)
     return repr([dist.log_density(GG, 1.3), plain(dist.log_moment(IG, [1, 5, 9])),
                  plain(seq.orders), plain(seq.values), crit.condition_L_check(GG),
-                 plain(dist.sample_product(P, 11, 5))])
-def bound(*modules):
-    return all(m.np is sys.modules["numpy"] for m in modules)
+                 crit.cramer_check(seq), plain(dist.sample_product(P, 11, 5))])
+MODULES = {"np": "numpy", "special": "scipy.special", "integrate": "scipy.integrate",
+           "optimize": "scipy.optimize"}
+def bound(name, *modules):
+    return all(getattr(m, name) is sys.modules[MODULES[name]] for m in modules)
 """
 # name -> (code run before the setup, code run after it, expected stdout);
 # the child gets the golden verify spec and report as its arguments
 FIRST_NUMPY_CASES = {
-    # the calls bind NumPy in distributions and criteria, a verify run binds
-    # it in verify and cli
+    # the calls bind NumPy and scipy.special in distributions and criteria, a
+    # verify run binds NumPy in verify and cli, and its quadrature binds
+    # scipy.integrate and scipy.optimize in verify
     "fresh": ("", """
 assert "numpy" not in sys.modules
 print(calls())
 with contextlib.redirect_stdout(io.StringIO()) as report:
     cli.main(["verify", sys.argv[1]])
-print(report.getvalue() == open(sys.argv[2]).read(), bound(dist, crit, ver, cli))
-""", "{calls}\nTrue True"),
+print(report.getvalue() == open(sys.argv[2]).read(), bound("np", dist, crit, ver, cli),
+      bound("special", dist, crit), bound("integrate", ver), bound("optimize", ver))
+""", "{calls}\nTrue True True True True"),
     # a NumPy imported before momentdet is the one bound
     "numpy_imported_first": ("import numpy\n", """
 print(calls())
@@ -530,8 +580,8 @@ for t in threads:
 for t in threads:
     t.join(timeout=60)
 assert not any(t.is_alive() for t in threads)
-print(*shown, bound(dist, crit), sep="\\n")
-""", "{calls}\n" * 4 + "True"),
+print(*shown, bound("np", dist, crit), bound("special", dist, crit), sep="\\n")
+""", "{calls}\n" * 4 + "True\nTrue"),
 }
 
 

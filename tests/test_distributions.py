@@ -261,18 +261,34 @@ class TestArrayKernels:
             assert [f(d, x) for x in infs] == [-math.inf, -math.inf], str(d)
             assert f(d, infs).tolist() == [-math.inf, -math.inf], str(d)
 
-    @pytest.mark.parametrize("kernel", ["log_tail", "tail", "log_hazard", "hazard"])
+    @pytest.mark.parametrize("kernel", ["log_tail", "tail", "log_hazard", "hazard",
+                                        "log_tail_scaled", "log_density_scaled"])
     def test_tails_and_hazards_at_non_finite_points(self, family_grid, kernel):
         # at +inf, -inf and nan: the tail is 0, 1 (also for DGG) and nan, and
-        # the hazard its limit alpha_t beta_t x^(beta_t - 1), 0 and nan; for a
-        # scalar as in an array, and without a warning
-        points = np.array([np.inf, -np.inf, np.nan])
+        # the hazard its limit alpha_t beta_t x^(beta_t - 1), 0 and nan; the
+        # scaled kernels, defined for x > 0, go to their limits at +inf: with
+        # s = gamma/beta, the GG tail like (s - 1) ln x, exactly 0 at s = 1,
+        # the GG density like (gamma - 1) ln x, ln c at gamma = 1, DGG a half
+        # of each, and IG to -inf; for a scalar as in an array, and without a
+        # warning
+        scaled = kernel.endswith("_scaled")
+        points = np.array([np.inf] if scaled else [np.inf, -np.inf, np.nan])
         f = getattr(dist, kernel)
         for d in family_grid:
             a_t, b_t, _ = dist.tail_bound_params(d)
             ln_limit = math.log(a_t) if b_t == 1.0 else math.copysign(math.inf, b_t - 1.0)
             log_values = [ln_limit, -math.inf, math.nan] if kernel.endswith("hazard") \
                 else [-math.inf, 0.0, math.nan]
+            if scaled:
+                if d.family == dist.IG:
+                    log_values = [-math.inf]
+                elif kernel == "log_tail_scaled":
+                    half = math.log(0.5) if d.family == dist.DGG else 0.0
+                    s = d.gamma / d.beta
+                    log_values = [half + (0.0 if s == 1.0 else math.copysign(math.inf, s - 1.0))]
+                else:   # the scaled density is the constant ln c at gamma = 1
+                    log_values = [dist.log_density_scaled(d, 1.0) if d.gamma == 1.0
+                                  else math.copysign(math.inf, d.gamma - 1.0)]
             expected = log_values if kernel.startswith("log_") else np.exp(log_values)
             for got in ([f(d, x) for x in points], f(d, points)):
                 np.testing.assert_allclose(got, expected, rtol=1e-15, err_msg=str(d))
@@ -381,16 +397,20 @@ class TestArrayKernels:
         (dist.gg(1e-20, 2, 3), 1e160),
         # the Mills difference is about 1e-450 and the log-tail about -5e299
         (dist.ig(1, 1), 1e300), (dist.ig(2, 3), 1e305),
-    ], ids=["GG", "DGG", "GG-x^beta", "IG", "IG-1e305"])
+        # x/mu = 1e310 overflows, a = sqrt(lam/x) (x/mu - 1) = 1e160 does not
+        (dist.ig(1e-10, 1), 1e300),
+    ], ids=["GG", "DGG", "GG-x^beta", "IG", "IG-1e305", "IG-x/mu"])
     def test_tails_and_hazards_past_the_float_range(self, d, x):
         # the incomplete-gamma argument is taken in log space and the IG
         # Mills difference as a log, for a scalar as in an array, without a
-        # warning
+        # warning.  The hazard is the difference of the scaled density and
+        # tail, so it is good to an ulp of their size: 1.9e-6 at lam/mu = 1e10
         expected = self._reference_past_the_float_range(d, x)
+        tol = max(1e-12, 2 * math.ulp(expected[1]))
         kernels = (dist.log_tail, dist.log_tail_scaled, dist.log_hazard)
         for f, ref in zip(kernels, expected):
             for got in (f(d, x), f(d, np.array([x, 1.0]))[0]):
-                assert got == pytest.approx(ref, rel=1e-13, abs=1e-12), (f.__name__, got, ref)
+                assert got == pytest.approx(ref, rel=1e-13, abs=tol), (f.__name__, got, ref)
 
     def test_steep_hazard_in_closed_form(self):
         # alpha x^beta reaches 1e20 on this grid; the hazard still follows
