@@ -463,7 +463,7 @@ def condition_L_check(obj, x0: float = 1.0, symmetric: Optional[bool] = None) ->
     closed_form = isinstance(obj, DistributionSpec)
     if closed_form:
         L_of = lambda x: lin_L(obj, x)
-        symmetric = obj.is_symmetric
+        symmetric = obj.support == HAMBURGER
         label = str(obj)
     else:
         log_dens = obj.log_density if hasattr(obj, "log_density") else obj

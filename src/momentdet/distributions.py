@@ -133,10 +133,6 @@ class DistributionSpec:
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
 
     @property
-    def is_symmetric(self) -> bool:
-        return self.family == DGG
-
-    @property
     def support(self) -> str:
         return HAMBURGER if self.family == DGG else STIELTJES
 
@@ -201,10 +197,6 @@ class ProductSpec:
             raise ValueError("a product needs at least one factor")
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def support_class(self) -> str:
-        return support_class(self)
-
     def __len__(self) -> int:
         return len(self.factors)
 
@@ -236,15 +228,39 @@ def _log_norming(d: DistributionSpec) -> float:
 
 
 def _log_density_pos(d: DistributionSpec, x):
-    """ln f at points 0 < |x| < inf of the support, for an array or an np.float64 x.
+    """ln f at points 0 < |x| < inf of the support, for an array or a float x.
 
     Both routes of ``log_density`` evaluate this one closed form with the same
-    NumPy ufuncs, so a point gets the same bits as a scalar and in an array.
+    NumPy ufuncs and IEEE operations, so a point gets the same bits as a
+    scalar and in an array.  Where the density underflows, a float x
+    overflows quietly in Python arithmetic; where alpha x^beta is above 1e307,
+    near enough to the float range for ``np.power`` to warn, it raises
+    OverflowError, and ``log_density_on_support`` takes it as an array.
     """
     if d.family == IG:
-        return 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(x)) \
-            - d.lam * np.square(x - d.mu) / (2.0 * d.mu ** 2 * x)
-    return _log_density_scaled(d, x) - d.alpha * np.power(x, d.beta)
+        return 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(x)) - _ig_exponent(d, x)
+    if isinstance(x, float) and x > 1.0 and d.alpha * x ** d.beta > 1e307:
+        raise OverflowError("alpha x^beta near the float range")
+    return _log_norming(d) + (d.gamma - 1.0) * np.log(x) - d.alpha * np.power(x, d.beta)
+
+
+def _ig_exponent(d: DistributionSpec, x):
+    """lam (x - mu)^2 / (2 mu^2 x) at a float or an array x > 0.  Where mu^2
+    overflows or the form reads inf/inf it is lam ((x - mu)/mu)^2 / x / 2, never
+    nan; a float raises FloatingPointError at inf/inf and takes the array route."""
+    t = x - d.mu
+    try:
+        e = d.lam * (t * t) / (2.0 * d.mu ** 2 * x)
+    except OverflowError:                           # mu^2 past the float range
+        t = t / d.mu
+        return d.lam * (t * t) / x / 2.0
+    if not isinstance(e, float):
+        nan = np.isnan(e)
+        t = t[nan] / d.mu
+        e[nan] = d.lam * (t * t) / x[nan] / 2.0
+    elif e != e:
+        raise FloatingPointError("inf/inf in the IG exponent")
+    return e
 
 
 def _log_density_at_zero(d: DistributionSpec) -> float:
@@ -268,20 +284,27 @@ def log_density_on_support(log_pos, log_at_zero, owner, x, symmetric: bool):
     value at 0; a point with 0 < |x| < inf on the support (x > 0, or x != 0
     when ``symmetric``) gives the closed form; everything else, including
     +-inf and nan, gives -inf.  ``log_at_zero`` is called only when a point
-    is 0.  A scalar x is evaluated without building an array, through the
-    same closed form as the array route, so both give the same bits.
+    is 0.  A scalar x is evaluated as a Python float, without building an
+    array or entering ``np.errstate``, through the same closed form as the
+    array route, so both give the same bits; where that raises an
+    ArithmeticError (x/0, or an overflow the closed form guards against),
+    the point takes the array route.  Neither route warns where f underflows.
     """
     if isinstance(x, float) or np.ndim(x) == 0:   # np.ndim builds an array for a float
-        x = np.float64(x)
+        x = float(x)
         ax = abs(x) if symmetric else x
         if 0.0 < ax < math.inf:
-            return float(log_pos(owner, ax))
+            try:
+                return float(log_pos(owner, ax))
+            except ArithmeticError:
+                return float(log_density_on_support(log_pos, log_at_zero, owner, [x], symmetric)[0])
         return float(log_at_zero(owner)) if x == 0.0 else -math.inf
     x = np.asarray(x, dtype=float)
     ax = np.abs(x) if symmetric else x
     ok = (ax > 0.0) & (ax < math.inf)
     out = np.full(x.shape, -np.inf)
-    out[ok] = log_pos(owner, ax[ok])
+    with np.errstate(all="ignore"):
+        out[ok] = log_pos(owner, ax[ok])
     zero = x == 0.0
     if zero.any():
         out[zero] = log_at_zero(owner)
@@ -346,20 +369,6 @@ def moment(d: DistributionSpec, k: int) -> float:
 # tails and hazards
 
 
-def _pointwise(kernel, d: DistributionSpec, x):
-    """Apply an array kernel to a scalar or an array of points.
-
-    A scalar is the one-element case of the same computation.  Floating-point
-    exceptions are not raised or warned about: an overflow or a complete
-    cancellation shows up as a non-finite value, which the caller's checks
-    reject.
-    """
-    xs = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        out = kernel(d, xs.reshape(-1))
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-
-
 def _log_upper_gamma_cf(s: float, z: np.ndarray) -> np.ndarray:
     # ln of the Lentz continued fraction for Gamma(s, z) / (z^s e^-z),
     # elementwise; reliable for z well above s, which is the only regime we
@@ -386,24 +395,19 @@ def _log_upper_gamma_cf(s: float, z: np.ndarray) -> np.ndarray:
     return np.log(h)
 
 
-def _log_gammaincc(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """ln Q(s, z) at s = gamma/beta and z = alpha x^beta for x >= 0, with Q the
-    regularized upper incomplete gamma, elementwise.
-
-    ``scaled`` returns ln(Q(s, z) * e^z), which stays accurate when z is so
-    large that Q underflows (needed for tail bounds out to z ~ 1e9).  Where
-    alpha x^beta overflows, ln z = ln alpha + beta ln x is taken in log space,
-    and the continued fraction by its limit 1/z where z itself overflows: Q is
-    then 0, and the scaled value is finite.
-    """
+def _log_gammaincc(d: DistributionSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln Q(s, z), ln(Q(s, z) e^z)) at s = gamma/beta and z = alpha x^beta for
+    finite x > 0, with Q the regularized upper incomplete gamma, elementwise;
+    the second stays accurate where Q underflows.  Where alpha x^beta
+    overflows, ln z = ln alpha + beta ln x is taken in log space, and the
+    continued fraction by its limit 1/z where z itself overflows."""
     s = d.gamma / d.beta
     z = d.alpha * x ** d.beta
-    out = z.copy() if scaled else np.zeros(z.shape)   # the z <= 0 value
+    lq = np.zeros(z.shape)                            # the z == 0 value
     near = (z > 0.0) & (z < s + 30.0)
-    far = ~(near | (z <= 0.0))                        # includes nan
-    zn = z[near]
-    lq = np.log(special.gammaincc(s, zn))
-    out[near] = lq + zn if scaled else lq
+    lq[near] = np.log(special.gammaincc(s, z[near]))
+    scaled = lq + z
+    far = z >= s + 30.0
     zf = z[far]
     if zf.size:
         log_z = np.log(zf)
@@ -414,31 +418,61 @@ def _log_gammaincc(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> 
         log_cf = -log_z
         fin = zf < math.inf
         log_cf[fin] = _log_upper_gamma_cf(s, zf[fin])
-        body = s * log_z - special.gammaln(s) + log_cf
-        out[far] = body if scaled else body - zf
-    return out
+        scaled[far] = s * log_z - special.gammaln(s) + log_cf
+        lq[far] = scaled[far] - zf
+    return lq, scaled
 
 
-def _log_mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """ln(M(a) - M(a + h)) for a > 0 and h > 0, elementwise, with M(t) =
-    Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2) the normal Mills ratio.
+def _gg_tails(d: DistributionSpec, x: np.ndarray) -> tuple:
+    # the rows of _tails for GG and DGG: one incomplete-gamma pass gives
+    # the tail and its scaled form, DGG takes half of each, and the hazard is
+    # the scaled density over the scaled tail, so exp(-alpha x^beta) cancels
+    # analytically
+    lq, scaled = _log_gammaincc(d, x)
+    if d.family == DGG:
+        lq, scaled = math.log(0.5) + lq, scaled + math.log(0.5)
+    density = _log_norming(d) + (d.gamma - 1.0) * np.log(x)
+    return lq, scaled, density, density - scaled
+
+
+def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """ln(M(a) - M(a + h)) for a > 0 (also a = inf, with ln a finite) and
+    h > 0, elementwise, with M(t) = Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2)
+    the normal Mills ratio.
 
     Nothing is subtracted that cancels when h is small against a, and nothing
-    underflows where the difference is below the float range:
+    under- or overflows where the difference or a are past the float range:
     - from a = MILLS_SERIES_FROM on, the asymptotic series
       M(t) ~ sum_m (-1)^m (2m-1)!! t^-(2m+1) is differenced term by term.
       With b = a + h and q = a/b, a^-n - b^-n = a^-n (h/b) E_n with
       E_n = 1 + q + ... + q^(n-1), a sum of positive terms, and the common
-      factor h/(a b) is taken in log space;
+      factor h/(a b) is taken in log space from ln a and ln(h/a);
     - below it, for h <= MILLS_TAYLOR_STEP, the Taylor series in h about a,
       -sum_(n>=1) D_n h^n with D_n = M^(n)(a)/n!, which M' = tM - 1 turns
       into D_(n+1) = (a D_n + D_(n-1))/(n+1);
     - otherwise the two erfcx values are subtracted.
     """
-    b = a + h
+    out = np.empty(a.shape)
+    far = a >= MILLS_SERIES_FROM
+    if far.any():
+        ln_h, ln_af = np.log(h[far]), ln_a[far]
+        ratio = np.exp(ln_h - ln_af)                  # h/a
+        q = 1.0 / (1.0 + ratio)
+        inv_a2 = np.exp(-2.0 * ln_af)
+        power = np.ones(q.shape)                      # a^-2m
+        coef, total = 1.0, np.zeros(q.shape)          # (-1)^m (2m-1)!!
+        e_n, q_n = np.ones(q.shape), q                # E_(2m+1), q^(2m+1)
+        for m in range(MILLS_TERMS):
+            total += coef * power * e_n
+            e_n = e_n + q_n * (1.0 + q)
+            q_n = q_n * (q * q)
+            coef *= -(2 * m + 1)
+            power = power * inv_a2
+        out[far] = ln_h - 2.0 * ln_af - np.log1p(ratio) + np.log(total)
+    a, h = a[~far], h[~far]
     mills_a = np.sqrt(np.pi / 2.0) * special.erfcx(a / math.sqrt(2.0))
-    out = mills_a - np.sqrt(np.pi / 2.0) * special.erfcx(b / math.sqrt(2.0))
-    near = (a < MILLS_SERIES_FROM) & (h <= MILLS_TAYLOR_STEP)
+    diff = mills_a - np.sqrt(np.pi / 2.0) * special.erfcx((a + h) / math.sqrt(2.0))
+    near = h <= MILLS_TAYLOR_STEP
     if near.any():
         an, hn = a[near], h[near]
         d_prev, d = mills_a[near], an * mills_a[near] - 1.0   # D_0, D_1
@@ -448,99 +482,102 @@ def _log_mills_difference(a: np.ndarray, h: np.ndarray) -> np.ndarray:
             d_prev, d = d, (an * d + d_prev) / (n + 1)
             power = power * hn
             total -= d * power
-        out[near] = total
-    far = a >= MILLS_SERIES_FROM
-    out[~far] = np.log(out[~far])
-    if far.any():
-        af, bf = a[far], b[far]
-        q = af / bf
-        inv_a2 = 1.0 / (af * af)
-        power = np.ones(af.shape)                    # a^-2m
-        coef, total = 1.0, np.zeros(af.shape)        # (-1)^m (2m-1)!!
-        e_n, q_n = np.ones(af.shape), q              # E_(2m+1), q^(2m+1)
-        for m in range(MILLS_TERMS):
-            total += coef * power * e_n
-            e_n = e_n + q_n * (1.0 + q)
-            q_n = q_n * (q * q)
-            coef *= -(2 * m + 1)
-            power = power * inv_a2
-        out[far] = np.log(h[far]) - np.log(af) - np.log(bf) + np.log(total)
+        diff[near] = total
+    out[~far] = np.log(diff)
     return out
 
 
-def _ig_log_tail(d: DistributionSpec, x: np.ndarray, scaled: bool = False) -> np.ndarray:
-    # 1 - F = Phi(-a) - e^(2 lam/mu) Phi(-b) with a, b the usual IG arguments.
-    # For a > 0 this is phi(a) (M(a) - M(b)) exactly, since b^2 - a^2 =
-    # 4 lam/mu, and the Mills-ratio difference keeps its precision far into
-    # the tail; there -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x) in closed
-    # form.  For a <= 0 the first term dominates and log_ndtr serves.
-    rt = np.sqrt(d.lam / x)
-    q = x / d.mu
-    a = rt * (q - 1.0)
-    b = rt * (q + 1.0)
-    over = q == math.inf                            # form a and b without x/mu there
-    if over.any():
-        root = math.sqrt(d.lam) * np.sqrt(x[over]) / d.mu
-        a[over] = root - rt[over]
-        b[over] = root + rt[over]
-    out = np.empty(x.shape)
+def _ig_tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    # the rows of _tails for IG.  1 - F = Phi(-a) - e^(2 lam/mu) Phi(-b)
+    # with a, b = sqrt(lam/x) (x/mu -+ 1).  For a > 0 this is phi(a) D with D
+    # = M(a) - M(b), exactly, since b^2 - a^2 = 4 lam/mu; the Mills-ratio
+    # difference keeps its precision far into the tail, and as f =
+    # sqrt(lam/x^3) phi(a), ln h = (ln lam - 3 ln x)/2 - ln D needs no
+    # subtraction.  The scaled forms use -a^2/2 + lam x/(2 mu^2) = lam/mu -
+    # lam/(2x).  For a <= 0 the first term dominates and log_ndtr serves.
+    rt = math.sqrt(d.lam) / np.sqrt(x)                # sqrt(lam/x), also where lam/x underflows
+    a_mu = rt * (x - d.mu)                            # a mu, finite at every finite x
+    a = a_mu / d.mu                                   # inf only where a itself overflows
+    half = 0.5 * (math.log(d.lam) - 3.0 * np.log(x))  # ln sqrt(lam/x^3)
+    shift = d.lam / d.mu - d.lam / (2.0 * x)
+    out = np.empty((4, x.size))
+    out[2] = half - 0.5 * LOG_2PI + shift
     right = a > 0.0
     ar = a[right]
-    core = _log_mills_difference(ar, 2.0 * rt[right]) - 0.5 * LOG_2PI
-    out[right] = core + (d.lam / d.mu - d.lam / (2.0 * x[right]) if scaled else -0.5 * ar * ar)
-    left = ~right                                   # includes nan
-    t1 = special.log_ndtr(-a[left])
-    t2 = 2.0 * d.lam / d.mu + special.log_ndtr(-b[left])
-    lt = t1 + np.log1p(-np.exp(t2 - t1))
-    out[left] = lt + d.lam * x[left] / (2.0 * d.mu ** 2) if scaled else lt
+    ln_d = _log_mills_difference(ar, np.log(a_mu[right]) - math.log(d.mu), 2.0 * rt[right])
+    out[0, right] = ln_d - 0.5 * LOG_2PI - 0.5 * ar * ar
+    out[1, right] = ln_d - 0.5 * LOG_2PI + shift[right]
+    out[3, right] = half[right] - ln_d
+    left = ~right
+    if left.any():
+        al = a[left]
+        t1 = special.log_ndtr(-al)
+        lt = t1 + np.log1p(-np.exp(2.0 * d.lam / d.mu + special.log_ndtr(-al - 2.0 * rt[left]) - t1))
+        out[0, left] = lt
+        out[1, left] = lt + tail_bound_params(d)[0] * x[left]
+        out[3, left] = half[left] - 0.5 * LOG_2PI - 0.5 * al * al - lt
     return out
 
 
-def _log_tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    # the tail is 1 at -inf and at x <= 0 on the half line, 0 at +inf, and nan
-    # at nan; the kernels below see only finite points
-    out = np.zeros(x.shape)
-    out[x == math.inf] = -math.inf
-    out[np.isnan(x)] = math.nan
+def _tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """Rows ln F-bar, ln F-bar + alpha_t x^beta_t, ln f + alpha_t x^beta_t and
+    ln h at a flat array of points, with the envelope of ``tail_bound_params``.
+
+    The family kernels see the finite x > 0.  Elsewhere the tail is 1 at -inf
+    and at x <= 0 on the half line, 1 - F(|x|) for DGG, 0 at +inf and nan at
+    nan; the hazard is ln f - ln F-bar at x <= 0 and its limit at +inf; the
+    scaled forms, defined for x > 0, go to their limits at +inf.  With s =
+    gamma/beta, GG and DGG go like (s - 1) ln z - ln Gamma(s) (exactly 0 at
+    s = 1), ln c + (gamma - 1) ln x and ln(alpha beta x^(beta - 1)); IG like
+    -3/2 ln x twice and to ln(lam/(2 mu^2)).
+    """
+    out = np.full((4, x.size), math.nan)
     pos = (x > 0.0) & (x < math.inf)
-    xp = x[pos]
+    out[:, pos] = (_ig_tails if d.family == IG else _gg_tails)(d, x[pos])
     if d.family == IG:
-        out[pos] = _ig_log_tail(d, xp)
-        return out
-    if d.family == GG:
-        out[pos] = _log_gammaincc(d, xp)
-        return out
-    # DGG, symmetric about 0
-    neg = (x < 0.0) & (x > -math.inf)
-    q = np.exp(_log_gammaincc(d, -x[neg]))
-    out[neg] = np.log1p(-0.5 * q)
-    out[x == 0.0] = math.log(0.5)
-    out[pos] = math.log(0.5) + _log_gammaincc(d, xp)
+        limits = -math.inf, -math.inf, math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
+    else:
+        s = d.gamma / d.beta
+        limits = ((math.log(0.5) if d.family == DGG else 0.0)
+                  + (0.0 if s == 1.0 else math.copysign(math.inf, s - 1.0)),
+                  _log_norming(d) if d.gamma == 1.0 else math.copysign(math.inf, d.gamma - 1.0),
+                  math.log(d.alpha) if d.beta == 1.0 else math.copysign(math.inf, d.beta - 1.0))
+    out[:, x == math.inf] = np.array((-math.inf,) + limits)[:, None]
+    rest = x <= 0.0
+    if rest.any():
+        out[0, rest] = 0.0
+        if d.family == DGG:
+            neg = (x < 0.0) & (x > -math.inf)
+            out[0, neg] = np.log1p(-0.5 * np.exp(_log_gammaincc(d, -x[neg])[0]))
+            out[0, x == 0.0] = math.log(0.5)
+        out[3, rest] = log_density(d, x[rest]) - out[0, rest]
     return out
+
+
+def _on_points(d: DistributionSpec, x, row: int, exp: bool = False):
+    """Row ``row`` of ``_tails`` (its exp if ``exp``) at a scalar or an array x.
+
+    A scalar is the one-element case of the same computation.  Floating-point
+    exceptions are not raised or warned about: an overflow or a complete
+    cancellation shows up as a non-finite value, which the caller's checks
+    reject.
+    """
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _tails(d, xs.reshape(-1))[row]
+        if exp:
+            out = np.exp(out)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def log_tail(d: DistributionSpec, x):
     """ln(1 - F(x)), stable far into the tail; scalar or array x."""
-    return _pointwise(_log_tail, d, x)
-
-
-def _tail(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    return np.exp(_log_tail(d, x))
+    return _on_points(d, x, 0)
 
 
 def tail(d: DistributionSpec, x):
     """F-bar(x) = 1 - F(x); scalar or array x."""
-    return _pointwise(_tail, d, x)
-
-
-def _log_tail_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    if d.family == IG:
-        out = _ig_log_tail(d, x, scaled=True)
-    else:
-        out = _log_gammaincc(d, x, scaled=True)
-        if d.family == DGG:
-            out += math.log(0.5)
-    return _at_inf(d, x, out, 1)
+    return _on_points(d, x, 0, exp=True)
 
 
 def log_tail_scaled(d: DistributionSpec, x):
@@ -548,73 +585,27 @@ def log_tail_scaled(d: DistributionSpec, x):
     of ``tail_bound_params`` taken out.
 
     Computed without forming the huge exponent difference, so it is usable on
-    grids where alpha_t x^beta_t reaches 1e9.  Scalar or array x > 0.
+    grids where alpha_t x^beta_t reaches 1e9.  Scalar or array x > 0; nan at
+    x <= 0.
     """
-    return _pointwise(_log_tail_scaled, d, x)
-
-
-def _log_density_scaled(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    if d.family == IG:
-        return 0.5 * (math.log(d.lam) - LOG_2PI - 3.0 * np.log(x)) \
-            + d.lam / d.mu - d.lam / (2.0 * x)
-    return _log_norming(d) + (d.gamma - 1.0) * np.log(x)
+    return _on_points(d, x, 1)
 
 
 def log_density_scaled(d: DistributionSpec, x):
     """ln( f(x) * exp(+alpha_t x^beta_t) ) in closed form, the partner of
-    ``log_tail_scaled``; scalar or array x > 0."""
-    return _pointwise(lambda d, x: _at_inf(d, x, _log_density_scaled(d, x), 0), d, x)
-
-
-def _log_hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    # For x > 0, ln h = log_density_scaled - log_tail_scaled: exp(-alpha_t x^beta_t)
-    # cancels analytically instead of as the difference of two huge logs.
-    pos = x > 0.0
-    xp = x[pos]
-    out = np.empty(x.shape)
-    out[pos] = _log_density_scaled(d, xp) - _log_tail_scaled(d, xp)
-    if not pos.all():
-        rest = x[~pos]
-        out[~pos] = log_density(d, rest) - _log_tail(d, rest)
-    return _at_inf(d, x, out, 2)
-
-
-def _at_inf(d: DistributionSpec, x: np.ndarray, out: np.ndarray, which: int) -> np.ndarray:
-    # out with its values at x = +inf, where the closed forms read 0 * inf or
-    # inf - inf, set to the limit: of the scaled density (which = 0), the
-    # scaled tail (1) or the hazard (2).  With s = gamma/beta and z = alpha
-    # x^beta, GG and DGG go like ln c + (gamma - 1) ln x, (s - 1) ln z -
-    # ln Gamma(s) (exactly 0 at s = 1) and ln(alpha beta x^(beta - 1)); IG
-    # like -3/2 ln x twice and, with the envelope of tail_bound_params, to
-    # ln(lam/(2 mu^2))
-    top = x == math.inf
-    if not top.any():
-        return out
-    if d.family == IG:
-        limits = -math.inf, -math.inf, math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
-    else:
-        s = d.gamma / d.beta
-        limits = (_log_norming(d) if d.gamma == 1.0 else math.copysign(math.inf, d.gamma - 1.0),
-                  (math.log(0.5) if d.family == DGG else 0.0)
-                  + (0.0 if s == 1.0 else math.copysign(math.inf, s - 1.0)),
-                  math.log(d.alpha) if d.beta == 1.0 else math.copysign(math.inf, d.beta - 1.0))
-    out[top] = limits[which]
-    return out
+    ``log_tail_scaled``; scalar or array x > 0, nan at x <= 0."""
+    return _on_points(d, x, 2)
 
 
 def log_hazard(d: DistributionSpec, x):
     """ln(f(x) / F-bar(x)); scalar or array x."""
-    return _pointwise(_log_hazard, d, x)
-
-
-def _hazard(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    return np.exp(_log_hazard(d, x))
+    return _on_points(d, x, 3)
 
 
 def hazard(d: DistributionSpec, x):
     """f(x) / F-bar(x), computed in log space; scalar or array x.  A hazard
     past the float range is inf."""
-    return _pointwise(_hazard, d, x)
+    return _on_points(d, x, 3, exp=True)
 
 
 def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:
@@ -653,7 +644,11 @@ def lin_L(d: DistributionSpec, x):
     if np.any(x <= 0.0):
         raise ValueError("lin_L requires x > 0")
     if d.family == IG:
-        out = 1.5 + d.lam * x / (2.0 * d.mu ** 2) - d.lam / (2.0 * x)
+        try:
+            rise = d.lam * x / (2.0 * d.mu ** 2)
+        except OverflowError:                       # mu^2 past the float range
+            rise = d.lam * x / (2.0 * d.mu) / d.mu
+        out = 1.5 + rise - d.lam / (2.0 * x)
     else:
         out = (1.0 - d.gamma) + d.alpha * d.beta * x ** d.beta
     return float(out) if out.ndim == 0 else out

@@ -157,8 +157,9 @@ def quadrature_moment(log_dens: Callable, support: str, k: int) -> float:
     return math.exp(quadrature_log_moment(log_dens, support, k))
 
 
-def quadrature_tail(log_dens: Callable, x: float) -> float:
-    """Upper tail integral of exp(log_dens) from x, for oracle comparisons."""
+def quadrature_log_tail(log_dens: Callable, x: float) -> float:
+    """ln of the upper tail integral of exp(log_dens) from x > 0, for oracle
+    comparisons; finite also where the tail is below the float range."""
     g = lambda u: u + log_dens(math.exp(u))
     lo = math.log(x)
     m = g(lo)
@@ -171,7 +172,7 @@ def quadrature_tail(log_dens: Callable, x: float) -> float:
         if m_new < m - _LOG_CUTOFF:
             break
     val, _ = integrate.quad(lambda t: math.exp(g(t) - m), lo, u, limit=400, epsabs=1e-300, epsrel=1e-12)
-    return math.exp(m) * val
+    return m + math.log(val)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ class CounterexampleDensity:
         return STIELTJES if self.case == STIELTJES_CASE else HAMBURGER
 
     def _log_density_pos(self, x):
-        # ln f at 0 < |x| < inf, for an array or an np.float64 x: one closed
+        # ln f at 0 < |x| < inf, for an array or a float x: one closed
         # form with the same ufuncs for both routes, so both give the same bits
         head = np.sqrt(x) if self.case == STIELTJES_CASE else x
         return self.log_norming - head / (1.0 + np.power(np.abs(np.log(x)), self.delta))

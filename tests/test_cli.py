@@ -284,6 +284,14 @@ class TestCriterion:
         code, out = run_cli("criterion", "growth", exp_spec)
         assert code == cli.EXIT_HOLDS
 
+    @pytest.mark.parametrize("name", ["lin", "krein"])
+    def test_ig_with_mu_squared_past_the_float_range(self, tmp_path, name):
+        # mu^2 = 1e400 overflows in the closed forms of L and the density
+        spec = write_spec(tmp_path, {"factors": [{"family": "IG", "mu": 1e200, "lambda": 1}]})
+        code, out = run_cli("criterion", name, spec)
+        assert code == cli.EXIT_HOLDS
+        assert json.loads(out)["name"] == name
+
     def test_lin_requires_single_factor(self, exp_normal_spec, capsys):
         code, _ = run_cli("criterion", "lin", exp_normal_spec)
         assert code == cli.EXIT_USAGE

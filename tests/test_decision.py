@@ -276,8 +276,7 @@ class TestDecideProduct:
         # its tail report; no tail or density kernel is evaluated
         def forbidden(*args):
             raise AssertionError("a kernel was evaluated")
-        for name in ("_log_tail", "_log_tail_scaled", "_log_density_scaled",
-                     "_log_density_pos", "_log_gammaincc", "_ig_log_tail"):
+        for name in ("_tails", "_gg_tails", "_ig_tails", "_log_density_pos", "_log_gammaincc"):
             monkeypatch.setattr(dist, name, forbidden)
         calls = []
         certify = dec._certify_envelope

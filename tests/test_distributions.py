@@ -82,6 +82,24 @@ class TestDensity:
         assert dist.log_density(dist.ig(1, 1), 1.0) == pytest.approx(
             -0.5 * math.log(2 * math.pi), rel=1e-14)
 
+    def test_ig_with_mu_squared_past_the_float_range(self):
+        # mu^2 = 1e400 overflows; ((x - mu)/mu)^2 = 1 at x = 1 does not
+        d = dist.ig(1e200, 1)
+        expected = -0.5 * math.log(2 * math.pi) - 0.5
+        assert dist.log_density(d, 1.0) == pytest.approx(expected, rel=1e-15)
+        assert dist.log_density(d, np.array([1.0])).tolist() == [dist.log_density(d, 1.0)]
+
+    @pytest.mark.parametrize("d,x", [
+        (dist.gg(1, 2, 1), 1e200), (dist.dgg(1, 2, 3), -1e300),
+        (dist.ig(1, 1), 1e300), (dist.ig(1, 1), 1e-320), (dist.ig(1, 1), 1e308),
+    ])
+    def test_underflowing_density_is_quiet(self, d, x):
+        # the exponent passes the float range: -inf on both routes, without
+        # a RuntimeWarning, which the suite turns into an error; at 1e308
+        # the IG form lam (x - mu)^2 / (2 mu^2 x) reads inf/inf
+        assert dist.log_density(d, x) == -math.inf
+        assert dist.log_density(d, np.array([x, 1.0]))[0] == -math.inf
+
     def test_zero_convention(self):
         # f(0) = 0 whenever gamma != 1, as a removable single point
         assert dist.log_density(dist.gg(1, 1, 2), 0.0) == -math.inf
@@ -155,7 +173,7 @@ class TestTail:
 
     def test_ig_tail_matches_quadrature(self):
         d = dist.ig(1, 1)
-        q = ver.quadrature_tail(logf(d), 3.0)
+        q = math.exp(ver.quadrature_log_tail(logf(d), 3.0))
         assert abs(dist.tail(d, 3.0) - q) < 1e-10
 
     def test_tail_monotone(self, family_sample):
@@ -213,7 +231,7 @@ class TestHazard:
     def test_ig_hazard_against_quadrature(self):
         d = dist.ig(1, 1)
         f50 = math.exp(dist.log_density(d, 50.0))
-        t50 = ver.quadrature_tail(logf(d), 50.0)
+        t50 = math.exp(ver.quadrature_log_tail(logf(d), 50.0))
         assert dist.hazard(d, 50.0) == pytest.approx(f50 / t50, rel=1e-8)
 
 
@@ -302,12 +320,29 @@ class TestArrayKernels:
         assert dist.hazard(d, np.array([5e-324])).tolist() == [math.inf]
 
     def test_hazard_is_scaled_density_over_scaled_tail(self, family_grid):
-        # on x > 0 the hazard is the difference of the two scaled kernels,
-        # which share the envelope factor exp(-alpha_t x^beta_t)
+        # on x > 0 the GG and DGG hazard is the difference of the two scaled
+        # kernels, which share the envelope factor exp(-alpha_t x^beta_t); the
+        # IG hazard is (ln lam - 3 ln x)/2 - ln D, which carries no lam/mu, so
+        # it is checked against ln(f / F-bar) with 50 digits
+        mpmath = pytest.importorskip("mpmath")
         for d in family_grid:
-            expected = dist.log_density_scaled(d, self.POSITIVE) \
-                - dist.log_tail_scaled(d, self.POSITIVE)
-            assert dist.log_hazard(d, self.POSITIVE).tobytes() == expected.tobytes(), str(d)
+            got = dist.log_hazard(d, self.POSITIVE)
+            if d.family != dist.IG:
+                expected = dist.log_density_scaled(d, self.POSITIVE) \
+                    - dist.log_tail_scaled(d, self.POSITIVE)
+                assert got.tobytes() == expected.tobytes(), str(d)
+                continue
+            with mpmath.workdps(50):
+                m, l = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+                ref = []
+                for x in map(mpmath.mpf, self.POSITIVE):
+                    rt = mpmath.sqrt(l / x)
+                    tail = mpmath.ncdf(-rt * (x / m - 1)) \
+                        - mpmath.exp(2 * l / m) * mpmath.ncdf(-rt * (x / m + 1))
+                    ln_f = mpmath.log(l / (2 * mpmath.pi * x ** 3)) / 2 \
+                        - l * (x - m) ** 2 / (2 * m ** 2 * x)
+                    ref.append(float(ln_f - mpmath.log(tail)))
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13, err_msg=str(d))
 
     def test_array_shape_kept(self):
         d = dist.gg(1, 2, 3)
@@ -399,16 +434,23 @@ class TestArrayKernels:
         (dist.ig(1, 1), 1e300), (dist.ig(2, 3), 1e305),
         # x/mu = 1e310 overflows, a = sqrt(lam/x) (x/mu - 1) = 1e160 does not
         (dist.ig(1e-10, 1), 1e300),
-    ], ids=["GG", "DGG", "GG-x^beta", "IG", "IG-1e305", "IG-x/mu"])
+        # a = 1e350 overflows as well: the tail is 0, the scaled tail lam/mu
+        (dist.ig(1e-200, 1), 1e300),
+        # lam/x = 1e-350 underflows, a = 1e175 and the Mills step do not
+        (dist.ig(1e-100, 1e-100), 1e250),
+        # lam/mu = 1e20: the hazard carries none of it
+        (dist.ig(1e-20, 1), 1e300),
+    ], ids=["GG", "DGG", "GG-x^beta", "IG", "IG-1e305", "IG-x/mu", "IG-a", "IG-lam/x",
+            "IG-lam/mu"])
     def test_tails_and_hazards_past_the_float_range(self, d, x):
         # the incomplete-gamma argument is taken in log space and the IG
         # Mills difference as a log, for a scalar as in an array, without a
-        # warning.  The hazard is the difference of the scaled density and
-        # tail, so it is good to an ulp of their size: 1.9e-6 at lam/mu = 1e10
+        # warning.  The scaled tail carries lam/mu, so it is good to an ulp
+        # of its size; the tail and the hazard to 1e-13
         expected = self._reference_past_the_float_range(d, x)
-        tol = max(1e-12, 2 * math.ulp(expected[1]))
+        tols = (1e-12, max(1e-12, 2 * math.ulp(expected[1])), 1e-12)
         kernels = (dist.log_tail, dist.log_tail_scaled, dist.log_hazard)
-        for f, ref in zip(kernels, expected):
+        for f, ref, tol in zip(kernels, expected, tols):
             for got in (f(d, x), f(d, np.array([x, 1.0]))[0]):
                 assert got == pytest.approx(ref, rel=1e-13, abs=tol), (f.__name__, got, ref)
 

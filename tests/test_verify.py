@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentdet import decision as dec
 from momentdet import distributions as dist
 from momentdet import verify as ver
 
@@ -57,6 +58,22 @@ class TestQuadratureMoment:
     def test_unknown_support_rejected(self):
         with pytest.raises(ValueError):
             ver.quadrature_log_moment(lambda x: -x, "circle", 2)
+
+
+class TestQuadratureLogTail:
+    @pytest.mark.parametrize("d,x_under", [
+        (dist.gg(1, 2, 3), 30.0), (dist.gg(2, "1/2", "1/2"), 1e6),
+        (dist.dgg(1, "1/2", 2), 1e6), (dist.ig(1, 1), 2000.0),
+    ], ids=str)
+    def test_log_tail_agrees_from_the_certified_start(self, d, x_under):
+        # the closed-form log-tail against the log-space oracle at x_c e^j,
+        # x_c the start of both certificates, and where the tail underflows
+        hazard, tail = dec._certify_envelope(d, 0, 1.0)
+        ln_xc = max(hazard.evidence["ln_x_start"], tail.evidence["ln_x_start"])
+        assert dist.tail(d, x_under) == 0.0
+        for x in [math.exp(ln_xc + j) for j in range(4)] + [x_under]:
+            q = ver.quadrature_log_tail(lambda t: dist.log_density(d, t), x)
+            assert dist.log_tail(d, x) == pytest.approx(q, rel=1e-12), (str(d), x)
 
 
 def _log_moment(d, k):
