@@ -46,6 +46,7 @@ INCONCLUSIVE = "inconclusive"
 
 PARITY_ALL = "all"
 PARITY_EVEN = "even"
+_STEP = {PARITY_ALL: 1, PARITY_EVEN: 2}
 
 
 @dataclass(frozen=True)
@@ -70,32 +71,31 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class LogMomentSequence:
-    """k -> ln m_k, exact in log space.
-
-    Even-parity sequences store only even orders (vanishing odd moments are
-    never stored).  Product sequences are pointwise sums of their factors'.
+    """k -> ln m_k, exact in log space, at the consecutive multiples step,
+    2 step, ..., k_max of the parity's step: 1 for all orders, 2 for even
+    orders (the vanishing odd moments are never stored).  Product sequences
+    are pointwise sums of their factors'.
     """
 
     orders: np.ndarray
     values: np.ndarray
     parity: str
-    source: str = "analytic"
 
     def __post_init__(self):
+        if self.parity not in _STEP:
+            raise ValueError(f"unknown parity {self.parity!r}")
         orders = np.asarray(self.orders, dtype=int)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "values", values)
         if orders.shape != values.shape or orders.ndim != 1 or len(orders) < 3:
             raise ValueError("orders/values must be matching 1-d arrays with >= 3 entries")
-        if not np.all(np.diff(orders) > 0):
-            raise ValueError("orders must be strictly increasing")
+        step = self.step
+        if not np.array_equal(orders, np.arange(step, step * len(orders) + 1, step)):
+            raise ValueError(f"{self.parity}-parity orders must be the consecutive "
+                             f"multiples {step}, {2 * step}, {3 * step}, ... of {step}")
         if not np.all(np.isfinite(values)):
             raise ValueError("every stored ln m_k must be finite")
-        if self.parity == PARITY_EVEN and np.any(orders % 2 != 0):
-            raise ValueError("even-parity sequences may store even orders only")
-        if self.parity not in (PARITY_ALL, PARITY_EVEN):
-            raise ValueError(f"unknown parity {self.parity!r}")
 
     @property
     def k_max(self) -> int:
@@ -103,42 +103,37 @@ class LogMomentSequence:
 
     @property
     def step(self) -> int:
-        return 1 if self.parity == PARITY_ALL else 2
+        return _STEP[self.parity]
 
     @classmethod
     def from_distribution(cls, d: DistributionSpec, k_max: int = DEFAULT_K_HORIZON,
                           parity: Optional[str] = None) -> "LogMomentSequence":
         if parity is None:
             parity = PARITY_EVEN if d.family == DGG else PARITY_ALL
-        step = 1 if parity == PARITY_ALL else 2
-        orders = np.arange(step, k_max + 1, step)
-        values = log_moment(d, orders)
-        return cls(orders=orders, values=values, parity=parity, source="analytic")
+        orders = np.arange(_STEP[parity], k_max + 1, _STEP[parity])
+        return cls(orders=orders, values=log_moment(d, orders), parity=parity)
 
     @classmethod
     def from_product(cls, p: ProductSpec, k_max: int = DEFAULT_K_HORIZON) -> "LogMomentSequence":
         parity = PARITY_ALL if support_class(p) == STIELTJES else PARITY_EVEN
-        seqs = [cls.from_distribution(d, k_max, parity=parity) for d in p.factors]
-        return compose(seqs)
+        return compose([cls.from_distribution(d, k_max, parity=parity) for d in p.factors])
 
 
 def compose(seqs: Sequence[LogMomentSequence]) -> LogMomentSequence:
-    """Sequence of a product of independent factors: pointwise sum."""
+    """Sequence of a product of independent factors: pointwise sum up to the
+    smallest horizon, at the even orders if any factor has even parity.
+    Order j step of a factor with step s is its entry j step/s - 1."""
     if not seqs:
         raise ValueError("nothing to compose")
     parity = PARITY_EVEN if any(s.parity == PARITY_EVEN for s in seqs) else PARITY_ALL
-    step = 1 if parity == PARITY_ALL else 2
-    k_hi = min(s.k_max for s in seqs)
-    orders = np.arange(step, k_hi + 1, step)
-    total = np.zeros(len(orders))
+    step = _STEP[parity]
+    n = min(s.k_max for s in seqs) // step
+    total = np.zeros(n)
     for s in seqs:
-        lookup = dict(zip(s.orders.tolist(), s.values.tolist()))
-        try:
-            total += np.array([lookup[int(k)] for k in orders])
-        except KeyError as e:
-            raise ValueError(f"factor sequence lacks order {e}") from None
-    return LogMomentSequence(orders=orders, values=total, parity=parity,
-                             source="product-composed")
+        stride = step // s.step
+        total += s.values[stride - 1::stride][:n]
+    return LogMomentSequence(orders=np.arange(step, step * n + 1, step), values=total,
+                             parity=parity)
 
 
 def _require_horizon(s: LogMomentSequence):
@@ -146,21 +141,22 @@ def _require_horizon(s: LogMomentSequence):
         raise ValueError(f"moment horizon K = {s.k_max} is below the minimum {MIN_K_HORIZON}")
 
 
-def _window_mask(orders: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (orders >= lo) & (orders <= hi)
+def _tail_window(ks: np.ndarray, K: int, stat: Callable, *columns) -> tuple[float, float]:
+    """The tail-window rule of the sequence criteria: ``stat`` of the columns
+    at the orders ks in [K/2, K], and its rise from [K/4, K/2]."""
+    now = float(stat(*(c[ks >= K / 2] for c in columns)))
+    prev = (ks >= K / 4) & (ks <= K / 2)
+    return now, now - float(stat(*(c[prev] for c in columns)))
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Closed-form least-squares slope of y on x (sum/size: the mean, minus its overhead)."""
+    dx = x - x.sum() / x.size
+    return float(dx @ (y - y.sum() / y.size) / (dx @ dx))
 
 
 # ---------------------------------------------------------------------------
 # growth exponent and ratio rate
-
-
-def _curvature_estimates(s: LogMomentSequence) -> tuple[np.ndarray, np.ndarray]:
-    # If ln m_k ~ a k ln k + b k + ..., then k * second difference -> a.
-    k = s.orders.astype(float)
-    v = s.values
-    h = float(s.step)
-    a = k[1:-1] * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    return s.orders[1:-1], a
 
 
 def growth_exponent(s: LogMomentSequence) -> CriterionReport:
@@ -172,14 +168,13 @@ def growth_exponent(s: LogMomentSequence) -> CriterionReport:
     """
     _require_horizon(s)
     K = s.k_max
-    ks, a = _curvature_estimates(s)
-    cur = _window_mask(ks, K / 2, K)
-    prev = _window_mask(ks, K / 4, K / 2)
-    a_hat = float(np.max(a[cur]))
-    rise = a_hat - float(np.max(a[prev]))
-    win = _window_mask(s.orders, K / 2, K)
-    kw = s.orders[win].astype(float)
-    direct_max = float(np.max(s.values[win] / (kw * np.log(kw))))
+    k = s.orders.astype(float)
+    v = s.values
+    # If ln m_k ~ a k ln k + b k + ..., then k * second difference -> a.
+    a = k[1:-1] * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / float(s.step * s.step)
+    a_hat, rise = _tail_window(s.orders[1:-1], K, np.max, a)
+    win = s.orders >= K / 2
+    direct_max = float(np.max(v[win] / (k[win] * np.log(k[win]))))
     status = HOLDS if rise <= RISE_TOL else INCONCLUSIVE
     notes = () if status == HOLDS else (
         f"tail-window estimate still rising by {rise:.4f} per doubling",)
@@ -208,17 +203,11 @@ def ratio_rate(s: LogMomentSequence) -> CriterionReport:
     _require_horizon(s)
     K = s.k_max
     v = s.values
-    # even parity: ratios m_(2(k+1)) / m_(2k) indexed by k = order/2
-    idx = s.orders[:-1].astype(float) / s.step
+    # the ratio of entries j + 1 and j (orders (j + 1) step, j step) goes with ln(j + 1)
     log_rho = v[1:] - v[:-1]
-    log_idx = np.log(idx + 1.0)
-    cur = _window_mask(idx * s.step, K / 2, K)
-    x, y = log_idx[cur], log_rho[cur]
-    slope = float(np.polyfit(x, y, 1)[0])
-    half = _window_mask(idx * s.step, K / 4, K / 2)
-    slope_prev = float(np.polyfit(log_idx[half], log_rho[half], 1)[0])
-    rise = slope - slope_prev
-    direct_max = float(np.max(log_rho[cur] / log_idx[cur]))
+    log_idx = np.log(np.arange(2.0, len(v) + 1.0))
+    slope, rise = _tail_window(s.orders[:-1], K, _slope, log_idx, log_rho)
+    direct_max = float(np.max((log_rho / log_idx)[s.orders[:-1] >= K / 2]))
     status = HOLDS if abs(rise) <= RISE_TOL else INCONCLUSIVE
     notes = () if status == HOLDS else (
         f"ratio-rate slope moved by {rise:.4f} between half-windows",)
@@ -246,10 +235,7 @@ def _bound_check(criterion: str, orders: np.ndarray, scores: np.ndarray, K: int,
     """Score a c0^k (2k)! moment bound by the trend of the tail-window
     maximum of the per-order scores over a doubling: rising beyond
     THRESHOLD_BAND fails, at most RISE_TOL holds, in between is inconclusive."""
-    cur = _window_mask(orders, K / 2, K)
-    prev = _window_mask(orders, K / 4, K / 2)
-    sup = float(np.max(scores[cur]))
-    tau = sup - float(np.max(scores[prev]))
+    sup, tau = _tail_window(orders, K, np.max, scores)
     if tau > THRESHOLD_BAND:
         status = FAILS
     elif tau <= RISE_TOL:
@@ -290,9 +276,8 @@ def cramer_check(s: LogMomentSequence) -> CriterionReport:
     """Does m_(2k) <= c0^k (2k)! hold for some c0 (even-order Hamburger form)?"""
     _require_horizon(s)
     if s.parity == PARITY_ALL:
-        keep = s.orders % 2 == 0
-        s = LogMomentSequence(orders=s.orders[keep], values=s.values[keep],
-                              parity=PARITY_EVEN, source=s.source)
+        s = LogMomentSequence(orders=s.orders[1::2], values=s.values[1::2],
+                              parity=PARITY_EVEN)
     j = s.orders.astype(float)  # j = 2k
     scores = (s.values - special.gammaln(j + 1.0)) / (j / 2.0)
     return _bound_check("cramer", s.orders, scores, s.k_max,
@@ -482,7 +467,7 @@ def condition_L_check(obj, x0: float = 1.0, symmetric: Optional[bool] = None) ->
     last_decade = grid >= grid[-1] / 10.0
     slope = None
     if finite and np.all(L[last_decade] > 0.0):
-        slope = float(np.polyfit(np.log(grid[last_decade]), np.log(L[last_decade]), 1)[0])
+        slope = _slope(np.log(grid[last_decade]), np.log(L[last_decade]))
     evidence = {
         "x0": float(x0),
         "L_first": float(L[0]),

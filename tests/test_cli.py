@@ -464,7 +464,7 @@ RUN_CLI_AND_REPORT_IMPORTS = (
     (("analyze",), "det", "0 False False"),
     (("analyze",), "indet", "10 False False"),
     (("analyze",), "band", "20 False False"),
-    # the Lin check fits its power slope with np.polyfit
+    # the Lin check takes the power slope of L on a NumPy grid
     (("criterion", "lin"), "single", "0 False True"),
     # the ratio route scores moment sequences with lnGamma
     (("analyze", "--ratio"), "indet", "10 True True"),

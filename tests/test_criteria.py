@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentdet import criteria as cr
 from momentdet import distributions as dist
@@ -17,7 +19,16 @@ def synthetic(fn, k_max=200, parity="all"):
     step = 1 if parity == "all" else 2
     orders = np.arange(step, k_max + 1, step)
     return cr.LogMomentSequence(orders=orders, values=fn(orders.astype(float)),
-                                parity=parity, source="analytic")
+                                parity=parity)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_SHAPES = (_log_uniform(1e-3, 1e3), _log_uniform(0.1, 10.0), _log_uniform(0.1, 10.0))
+_FACTORS = st.one_of(st.builds(dist.gg, *_SHAPES), st.builds(dist.dgg, *_SHAPES),
+                     st.builds(dist.ig, _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e3)))
 
 
 class TestLogMomentSequence:
@@ -25,12 +36,26 @@ class TestLogMomentSequence:
         with pytest.raises(ValueError, match="finite"):
             cr.LogMomentSequence(orders=np.array([1, 2, 3]),
                                  values=np.array([0.0, math.inf, 1.0]), parity="all")
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValueError, match="consecutive multiples"):
             cr.LogMomentSequence(orders=np.array([1, 2, 4]),
                                  values=np.zeros(3), parity="even")
-        with pytest.raises(ValueError, match="increasing"):
+        with pytest.raises(ValueError, match="consecutive multiples"):
             cr.LogMomentSequence(orders=np.array([2, 2, 4]),
                                  values=np.zeros(3), parity="even")
+
+    def test_orders_off_the_grid_are_refused(self):
+        # growth, ratio and Carleman difference neighbouring entries: a gap
+        # would read as a jump in the moments (a_hat = 748.57 for Exp
+        # without order 150)
+        s = seq_of(dist.exponential())
+        keep = s.orders != 150
+        with pytest.raises(ValueError, match="all-parity orders must be the consecutive multiples"):
+            cr.LogMomentSequence(orders=s.orders[keep], values=s.values[keep], parity="all")
+        e = seq_of(dist.std_normal())
+        odd = np.append(e.orders, 201)
+        with pytest.raises(ValueError, match="even-parity orders must be the consecutive multiples"):
+            cr.LogMomentSequence(orders=odd, values=np.append(e.values, e.values[-1]),
+                                 parity="even")
 
     def test_parity_defaults(self):
         assert seq_of(dist.exponential()).parity == "all"
@@ -45,13 +70,31 @@ class TestLogMomentSequence:
         assert c.values[i] == pytest.approx(
             dist.log_moment(dist.exponential(), k) + dist.log_moment(dist.gg(1, 2, 1), k),
             rel=1e-14)
-        assert c.source == "product-composed"
 
     def test_compose_mixed_parity(self):
         p = dist.ProductSpec([dist.exponential(), dist.std_normal()])
         s = cr.LogMomentSequence.from_product(p)
         assert s.parity == "even"
         assert np.all(s.orders % 2 == 0)
+
+    @given(factors=st.lists(_FACTORS, min_size=1, max_size=4),
+           horizons=st.lists(st.integers(40, 120), min_size=4, max_size=4),
+           even=st.lists(st.booleans(), min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_compose_is_the_per_order_sum(self, factors, horizons, even):
+        # each factor at its own horizon and parity (DGG even only); the
+        # product is at the even orders if any factor is, up to the smallest
+        # horizon, and each entry has the bits of the sum of log_moment
+        parities = ["even" if d.family == dist.DGG or e else "all"
+                    for d, e in zip(factors, even)]
+        c = cr.compose([seq_of(d, k, parity=par)
+                        for d, k, par in zip(factors, horizons, parities)])
+        step = 2 if "even" in parities else 1
+        orders = np.arange(step, min(horizons[:len(factors)]) + 1, step)
+        assert c.parity == ("even" if step == 2 else "all")
+        assert c.orders.tolist() == orders.tolist()
+        expected = [sum(dist.log_moment(d, int(k)) for d in factors) for k in orders]
+        assert c.values.tolist() == expected
 
     def test_horizon_floor(self):
         s = seq_of(dist.exponential(), k_max=20)
@@ -94,6 +137,19 @@ class TestGrowthExponent:
         s = synthetic(lambda k: k * np.log(k) ** 1.5)
         rep = cr.growth_exponent(s)
         assert rep.status == cr.INCONCLUSIVE
+
+
+class TestSlope:
+    def test_matches_polyfit_on_random_windows(self):
+        # the closed-form slope against NumPy's degree-1 least squares, on
+        # log-log windows like those of ratio_rate and the Lin check
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            lo = int(rng.integers(2, 500))
+            x = np.log(np.arange(lo, lo + int(rng.integers(3, 200)), dtype=float))
+            y = rng.uniform(-5.0, 5.0) * x + rng.normal(0.0, 50.0) \
+                + rng.normal(0.0, 0.01, x.size)
+            assert cr._slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
 
 
 class TestRatioRate:

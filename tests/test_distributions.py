@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestDensity:
         # the IG form lam (x - mu)^2 / (2 mu^2 x) reads inf/inf
         assert dist.log_density(d, x) == -math.inf
         assert dist.log_density(d, np.array([x, 1.0]))[0] == -math.inf
+
+    @pytest.mark.parametrize("d,x", [(dist.gg(1e-20, 2, 3), 1e160),
+                                     (dist.dgg(1e-20, 2, 3), -1e160)])
+    def test_density_where_x_beta_overflows(self, d, x):
+        # x^beta = 1e320 overflows, alpha x^beta = 1e300 does not: ln f is
+        # about -1e300, as the tail is, on both routes and without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = dist.log_tail(d, abs(x))
+            assert dist.log_density(d, x) == pytest.approx(expected, rel=1e-12)
+            assert dist.log_density(d, np.array([x, 1.0]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_convention(self):
         # f(0) = 0 whenever gamma != 1, as a removable single point
@@ -506,6 +518,13 @@ class TestSampling:
         x = dist.sample(dist.ig(1, 1), 13, self.N)
         se = x.std(ddof=1) / math.sqrt(self.N)
         assert abs(x.mean() - 1.0) < 3.0 * se
+
+    @pytest.mark.parametrize("d", [dist.ig(1e10, 1), dist.ig(1e6, 1e-6), dist.ig(1e200, 1)])
+    def test_ig_draws_with_large_mu_over_lambda(self, d):
+        # the two roots mu/q and mu q share one denominator, so the smaller
+        # does not cancel to <= 0 and mu^2 is never formed
+        x = dist.sample(d, 5, 100_000)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
 
     def test_deterministic(self):
         a = dist.sample(dist.gg(2, 0.5, 1), 99, 1000)
