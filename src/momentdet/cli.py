@@ -20,8 +20,8 @@ from . import __version__
 from . import criteria, decision, verify as verify_mod
 from .criteria import LogMomentSequence
 from .distributions import (
-    DGG,
     IG,
+    MOMENT_STEP,
     DistributionSpec,
     ProductSpec,
     _OnFirstUse,
@@ -188,13 +188,22 @@ def _echo(product: ProductSpec) -> dict:
     return {"factors": [factor(d) for d in product.factors]}
 
 
+def _strict(o):
+    """o with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(o, dict):
+        return {k: _strict(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(v) for v in o]
+    return str(float(o)) if isinstance(o, float) and not math.isfinite(o) else o
+
+
 def _emit(args, inputs: dict, body: dict) -> None:
     """Write the common header and the command's fields; NumPy scalars as Python values."""
     report = {"tool": "momentdet", "tool_version": __version__, "command": args.command,
               "input": inputs, **body}
     layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
-    sys.stdout.write(json.dumps(report, sort_keys=True, default=lambda o: o.item(),
-                                **layout) + "\n")
+    sys.stdout.write(json.dumps(_strict(report), sort_keys=True, allow_nan=False,
+                                default=lambda o: o.item(), **layout) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,7 @@ def cmd_verify(args) -> int:
 
     oracle_rows = []
     for i, d in enumerate(product.factors):
-        step = 2 if d.family == DGG else 1
+        step = MOMENT_STEP[d.support]
         worst = 0.0
         try:
             for k in range(step, 13, step):

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .distributions import (
-    DGG,
     DistributionSpec,
     HAMBURGER,
+    MOMENT_STEP,
     ProductSpec,
     STIELTJES,
     _OnFirstUse,
     lin_L,
     lin_L_numeric,
     log_moment,
+    moment_threshold,
     support_class,
 )
 
@@ -46,7 +47,9 @@ INCONCLUSIVE = "inconclusive"
 
 PARITY_ALL = "all"
 PARITY_EVEN = "even"
-_STEP = {PARITY_ALL: 1, PARITY_EVEN: 2}
+# the reports' name of each moment step
+PARITY = {1: PARITY_ALL, 2: PARITY_EVEN}
+_STEP = {parity: step for step, parity in PARITY.items()}
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,13 @@ class LogMomentSequence:
     def from_distribution(cls, d: DistributionSpec, k_max: int = DEFAULT_K_HORIZON,
                           parity: Optional[str] = None) -> "LogMomentSequence":
         if parity is None:
-            parity = PARITY_EVEN if d.family == DGG else PARITY_ALL
+            parity = PARITY[MOMENT_STEP[d.support]]
         orders = np.arange(_STEP[parity], k_max + 1, _STEP[parity])
         return cls(orders=orders, values=log_moment(d, orders), parity=parity)
 
     @classmethod
     def from_product(cls, p: ProductSpec, k_max: int = DEFAULT_K_HORIZON) -> "LogMomentSequence":
-        parity = PARITY_ALL if support_class(p) == STIELTJES else PARITY_EVEN
+        parity = PARITY[MOMENT_STEP[support_class(p)]]
         return compose([cls.from_distribution(d, k_max, parity=parity) for d in p.factors])
 
 
@@ -125,15 +128,14 @@ def compose(seqs: Sequence[LogMomentSequence]) -> LogMomentSequence:
     Order j step of a factor with step s is its entry j step/s - 1."""
     if not seqs:
         raise ValueError("nothing to compose")
-    parity = PARITY_EVEN if any(s.parity == PARITY_EVEN for s in seqs) else PARITY_ALL
-    step = _STEP[parity]
+    step = max(s.step for s in seqs)
     n = min(s.k_max for s in seqs) // step
     total = np.zeros(n)
     for s in seqs:
         stride = step // s.step
         total += s.values[stride - 1::stride][:n]
     return LogMomentSequence(orders=np.arange(step, step * n + 1, step), values=total,
-                             parity=parity)
+                             parity=PARITY[step])
 
 
 def _require_horizon(s: LogMomentSequence):
@@ -298,15 +300,10 @@ def carleman_quantity(s: LogMomentSequence) -> CriterionReport:
     finiteness alone decides nothing in the other direction.
     """
     _require_horizon(s)
-    k = s.orders.astype(float)
-    if s.parity == PARITY_ALL:
-        terms = np.exp(-s.values / (2.0 * k))
-        threshold = 2.0
-        case = STIELTJES
-    else:
-        terms = np.exp(-s.values / k)  # stored order j = 2k, exponent 1/(2k) = 1/j
-        threshold = 1.0
-        case = HAMBURGER
+    case = STIELTJES if s.parity == PARITY_ALL else HAMBURGER
+    threshold = moment_threshold(case)
+    # m_j^(-1/(2k)) at the stored order j = k step
+    terms = np.exp(-s.values / (2.0 * s.orders.astype(float) / s.step))
     csum = np.cumsum(terms)
     quarters = [int(len(terms) * f) - 1 for f in (0.25, 0.5, 0.75, 1.0)]
     ladder = [float(csum[q]) for q in quarters]

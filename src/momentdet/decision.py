@@ -4,7 +4,8 @@ citation trail.
 
 Every verdict follows one pattern.  Each factor has a growth exponent
 (``1/beta`` for GG and DGG, 1 for IG); the exponents of a product add, and
-their sum is compared with the support-class threshold: 2 on the half line
+their sum is compared with the support-class threshold, 2/step with the
+class's moment step from ``distributions.MOMENT_STEP``: 2 on the half line
 (Stieltjes), 1 on the real line and for mixed products.  At or below the
 threshold the route's M-det rule applies; above it the route's M-indet rule
 applies once its side conditions are verified.  ``RULES`` maps each route
@@ -38,12 +39,14 @@ from .distributions import (
     HAMBURGER,
     IG,
     MIXED,
+    MOMENT_STEP,
     STIELTJES,
     LOG_2PI,
     DistributionSpec,
     ProductSpec,
     decreasing_from,
     log_hazard,  # unused here; benchmarks/test_bench_specs.py traces decision.log_hazard
+    moment_threshold,
     support_class,
     tail_bound_params,
 )
@@ -77,10 +80,6 @@ class Verdict:
     support: str
     caveats: tuple[str, ...] = ()
 
-    @property
-    def is_determinate(self) -> bool:
-        return self.conclusion == M_DET
-
     def to_dict(self) -> dict:
         return {
             "conclusion": self.conclusion,
@@ -112,10 +111,6 @@ def factor_exponent_exact(d: DistributionSpec) -> Optional[Fraction]:
     if d.beta_exact is not None:
         return 1 / d.beta_exact
     return None
-
-
-def _threshold(support: str) -> float:
-    return 2.0 if support == STIELTJES else 1.0
 
 
 def _at_or_below(total: float, exact_sum: Optional[Fraction],
@@ -184,11 +179,6 @@ def _corollary_tags(factors: Sequence[DistributionSpec]) -> list[str]:
             elif other.family == IG:
                 tags.append("Corollary 5")
     return tags
-
-
-def _rule(base: str, factors: Sequence[DistributionSpec]) -> str:
-    tags = _corollary_tags(factors)
-    return "; ".join([base] + tags)
 
 
 _MIXED_CAVEAT = (
@@ -293,18 +283,16 @@ def _certify_envelope(d: DistributionSpec, index: int,
 
 def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
                            cfg: DecisionConfig) -> list[CriterionReport]:
-    """Theorems 2, 4, 7, 10 and 11: one (real-line factor, in the mixed case)
-    density eventually decreasing, then the hazard and tail certificates of
-    every factor, all from the effective x0.
+    """Theorems 2, 4, 7, 10 and 11: one density eventually decreasing, of a
+    real-line factor off the half line, then the hazard and tail certificates
+    of every factor, all from the effective x0.
 
     The density of the chosen factor decreases beyond its closed-form
     ``decreasing_from``; the check fails by name only when that point or the
     effective x0 is not finite, and so then do the certificates.
     """
-    if support == MIXED:
-        candidates = [(i, d) for i, d in enumerate(factors) if d.family == DGG]
-    else:
-        candidates = list(enumerate(factors))
+    candidates = [(i, d) for i, d in enumerate(factors)
+                  if support == STIELTJES or d.support == HAMBURGER]
     idx, chosen = min(candidates, key=lambda t: decreasing_from(t[1]))
     dec_from = decreasing_from(chosen)
     x0_eff = max(cfg.x0, 1.0, dec_from * (1.0 + 1e-12))
@@ -332,7 +320,7 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
 def _ratio_rates(factors: Sequence[DistributionSpec], support: str,
                  cfg: DecisionConfig) -> list[CriterionReport]:
     """Estimated ratio rates, recorded as evidence with every ratio-route verdict."""
-    parity = criteria.PARITY_ALL if support == STIELTJES else criteria.PARITY_EVEN
+    parity = criteria.PARITY[MOMENT_STEP[support]]
     return [criteria.ratio_rate(LogMomentSequence.from_distribution(
         d, cfg.k_horizon, parity=parity)) for d in factors]
 
@@ -346,9 +334,10 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         route = SINGLE
     support = support_class(p)
     det_rule, indet_rule = RULES[route][support]
-    # the ratio route uses the even-step rates 2/beta off the half line
-    scale = 2 if route == RATIO and support != STIELTJES else 1
-    threshold = scale * _threshold(support)
+    # the ratio route takes the rates step/beta of its class's moment step,
+    # against step times the threshold, which is 2
+    scale = MOMENT_STEP[support] if route == RATIO else 1
+    threshold = scale * moment_threshold(support)
     exponents = [scale * factor_exponent(d) for d in factors]
     exact = [factor_exponent_exact(d) for d in factors]
     exact_sum = scale * sum(exact, Fraction(0)) if all(e is not None for e in exact) else None
@@ -365,7 +354,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         conclusion = INCONCLUSIVE
         caveats.append(caveat)
     elif det:
-        conclusion, rule = M_DET, _rule(det_rule, factors)
+        conclusion, rule = M_DET, "; ".join([det_rule, *_corollary_tags(factors)])
     elif indet_rule is None:
         conclusion, rule = INCONCLUSIVE, _RATIO_NOT_APPLICABLE
         caveats.append("rate sum exceeds 2; this route cannot prove indeterminacy")
@@ -378,7 +367,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
             conclusion, rule = INCONCLUSIVE, "side conditions unverified"
             caveats.append(f"unverified: {', '.join(failed)}")
         else:
-            conclusion, rule = M_INDET, _rule(indet_rule, factors)
+            conclusion, rule = M_INDET, "; ".join([indet_rule, *_corollary_tags(factors)])
     return Verdict(
         conclusion=conclusion,
         rule=rule,

@@ -52,6 +52,11 @@ STIELTJES = "Stieltjes"
 HAMBURGER = "Hamburger"
 MIXED = "Mixed"
 
+# support class -> step of the moment orders it is decided on: every order on
+# the half line, the even ones on the real line and for mixed products.  The
+# growth-exponent threshold of a class is 2/step.
+MOMENT_STEP = {STIELTJES: 1, HAMBURGER: 2, MIXED: 2}
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 ParamLike = Union[int, float, str, Fraction]
@@ -205,13 +210,14 @@ class ProductSpec:
 
 
 def support_class(p: ProductSpec) -> str:
-    """Stieltjes if all factors are nonnegative, Hamburger if all are real, else Mixed."""
-    fams = {f.family for f in p.factors}
-    if fams <= {GG, IG}:
-        return STIELTJES
-    if fams == {DGG}:
-        return HAMBURGER
-    return MIXED
+    """The factors' common support class, Mixed if they differ."""
+    supports = {f.support for f in p.factors}
+    return supports.pop() if len(supports) == 1 else MIXED
+
+
+def moment_threshold(support: str) -> float:
+    """The growth-exponent threshold of a support class, 2/step."""
+    return 2.0 / MOMENT_STEP[support]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +425,11 @@ def _log_gammaincc(d: DistributionSpec, x: np.ndarray) -> tuple[np.ndarray, np.n
     z, ln_z = _gg_exponent(d, x)
     lq = np.zeros(z.shape)                            # the z == 0 value
     near = (z > 0.0) & (z < s + 30.0)
-    lq[near] = np.log(special.gammaincc(s, z[near]))
+    zn = z[near]
+    p = special.gammainc(s, zn)                       # P = 1 - Q
+    ln_q = np.log1p(-p)                               # keeps the digits of Q near 1
+    ln_q[p > 0.5] = np.log(special.gammaincc(s, zn[p > 0.5]))
+    lq[near] = ln_q
     scaled = lq + z
     far = z >= s + 30.0
     zf = z[far]

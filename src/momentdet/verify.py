@@ -15,11 +15,13 @@ from typing import Callable, Optional, Sequence
 
 from .distributions import (
     HAMBURGER,
+    MOMENT_STEP,
     STIELTJES,
     ProductSpec,
     _OnFirstUse,
     log_density_on_support,
     log_moment,
+    moment_threshold,
     sample_product,
 )
 
@@ -31,8 +33,9 @@ optimize = _OnFirstUse(globals(), "optimize", "scipy.optimize")
 POSITIVE_HALF_LINE = STIELTJES
 REAL_LINE = HAMBURGER
 
-STIELTJES_CASE = "stieltjes"
-HAMBURGER_CASE = "hamburger"
+# witness names, as the CLI and ``build_counterexample`` take them: the class in lower case
+STIELTJES_CASE, HAMBURGER_CASE = STIELTJES.lower(), HAMBURGER.lower()
+_WITNESS_SUPPORT = {STIELTJES_CASE: STIELTJES, HAMBURGER_CASE: HAMBURGER}
 
 # Log-integrand drop below the peak at which the remainder is negligible:
 # the decay rate past the cutoff is at least 1 per unit u for every density
@@ -183,56 +186,52 @@ def quadrature_log_tail(log_dens: Callable, x: float) -> float:
 class CounterexampleDensity:
     """Normalized witness density with tail exp(-x^p / (1 + |ln x|^delta)).
 
-    ``stieltjes`` uses p = 1/2 on (0, inf); ``hamburger`` is the symmetric
-    p = 1 variant on the real line.  Both have all moments finite, moment
-    growth arbitrarily close to (but above) the determinacy threshold, and a
-    finite Krein integral.
+    The Stieltjes witness uses p = 1/2 on (0, inf); the Hamburger one is the
+    symmetric p = 1 variant on the real line.  Both have all moments finite,
+    moment growth arbitrarily close to (but above) the determinacy
+    threshold, and a finite Krein integral.
     """
 
-    case: str
+    support: str
     delta: float
     log_norming: float
-
-    @property
-    def support(self) -> str:
-        """The support class: Stieltjes or Hamburger."""
-        return STIELTJES if self.case == STIELTJES_CASE else HAMBURGER
 
     def _log_density_pos(self, x):
         # ln f at 0 < |x| < inf, for an array or a float x: one closed
         # form with the same ufuncs for both routes, so both give the same bits
-        head = np.sqrt(x) if self.case == STIELTJES_CASE else x
+        head = np.sqrt(x) if self.support == STIELTJES else x
         return self.log_norming - head / (1.0 + np.power(np.abs(np.log(x)), self.delta))
 
     def _log_density_at_zero(self) -> float:
         # on the real line the origin is a removable point: the modulated
         # exponent -> 0; the half line (0, inf) excludes it
-        return self.log_norming if self.case == HAMBURGER_CASE else -math.inf
+        return self.log_norming if self.support == HAMBURGER else -math.inf
 
     def log_density(self, x):
         """ln f(x) for a scalar (without building an array) or an array x;
         -inf off the support, at +-inf and at nan."""
         return log_density_on_support(CounterexampleDensity._log_density_pos,
                                       CounterexampleDensity._log_density_at_zero, self, x,
-                                      symmetric=self.case == HAMBURGER_CASE)
+                                      symmetric=self.support == HAMBURGER)
 
 
 def build_counterexample(case: str, delta: float) -> CounterexampleDensity:
-    """Normalize the witness density numerically; requires delta > 1."""
-    if case not in (STIELTJES_CASE, HAMBURGER_CASE):
+    """Normalize the witness density named ``case`` numerically; requires delta > 1."""
+    if case not in _WITNESS_SUPPORT:
         raise ValueError(f"case must be {STIELTJES_CASE!r} or {HAMBURGER_CASE!r}")
     if not delta > 1.0:
         raise ValueError(f"delta must be > 1, got {delta!r}")
-    unnorm = CounterexampleDensity(case=case, delta=float(delta), log_norming=0.0)
-    log_z = quadrature_log_moment(unnorm.log_density, unnorm.support, 0)
-    return CounterexampleDensity(case=case, delta=float(delta), log_norming=-log_z)
+    support = _WITNESS_SUPPORT[case]
+    unnorm = CounterexampleDensity(support=support, delta=float(delta), log_norming=0.0)
+    log_z = quadrature_log_moment(unnorm.log_density, support, 0)
+    return CounterexampleDensity(support=support, delta=float(delta), log_norming=-log_z)
 
 
 @dataclass(frozen=True)
 class GrowthBoundReport:
     ok: bool
     a: float
-    case: str
+    support: str
     window: tuple[int, int]
     window_max: float
     orders: tuple[int, ...]
@@ -245,18 +244,15 @@ class GrowthBoundReport:
 def verify_growth_bound(cd: CounterexampleDensity, a: float, kmax: int = 40) -> GrowthBoundReport:
     """Check ln m_k / (k ln k) < a on the tail window [kmax/2, kmax].
 
-    Moment orders run over all k (stieltjes) or even k (hamburger, where the
-    bound is the even-moment form with the 2a convention).
+    Moment orders run from 2 in the witness's moment step: all k on the half
+    line, even k on the real line (the even-moment form, 2a convention).
     """
     if not 2 <= kmax <= 60:
         raise ValueError("kmax must be from 2 (the first order checked) to 60 "
                          f"(the quadrature reach), got {kmax!r}")
     if not a > 0.0:
         raise ValueError("a must be positive")
-    if cd.case == STIELTJES_CASE:
-        orders = list(range(2, kmax + 1))
-    else:
-        orders = list(range(2, kmax + 1, 2))
+    orders = list(range(2, kmax + 1, MOMENT_STEP[cd.support]))
     ratios = []
     for k in orders:
         lm = quadrature_log_moment(cd.log_density, cd.support, k)
@@ -265,7 +261,7 @@ def verify_growth_bound(cd: CounterexampleDensity, a: float, kmax: int = 40) -> 
     window_vals = [r for k, r in zip(orders, ratios) if lo <= k <= kmax]
     wmax = max(window_vals)
     return GrowthBoundReport(
-        ok=wmax < a, a=float(a), case=cd.case, window=(lo, kmax),
+        ok=wmax < a, a=float(a), support=cd.support, window=(lo, kmax),
         window_max=wmax, orders=tuple(orders), ratios=tuple(ratios),
     )
 
@@ -281,7 +277,7 @@ class ThetaSplitError(ValueError):
 @dataclass(frozen=True)
 class ThetaSplit:
     thetas: tuple[float, ...]
-    case: str
+    support: str
     betas: tuple[float, ...]
 
     def __post_init__(self):
@@ -292,28 +288,25 @@ class ThetaSplit:
 def theta_split(betas: Sequence[float], case: str) -> ThetaSplit:
     """A feasible exponent split theta_1..theta_n for the product lower bound.
 
-    Stieltjes needs 2 theta_i beta_i < 1 for every i (possible exactly when
-    sum 1/beta_i > 2); the hamburger variant drops the factor 2.  The first
-    n-1 weights share the midpoint of the feasible interval proportionally to
-    their caps; theta_n is the residual.
+    Every i needs thr theta_i beta_i < 1, with thr the threshold of the
+    witness's support class, possible exactly when sum 1/beta_i > thr.  The
+    first n-1 weights share the midpoint of the feasible interval
+    proportionally to their caps 1/(thr beta_i); theta_n is the residual.
     """
     betas = tuple(float(b) for b in betas)
     if len(betas) < 2:
         raise ThetaSplitError("need at least two factors to split")
     if any(b <= 0 for b in betas):
         raise ThetaSplitError("betas must be positive")
-    if case == STIELTJES_CASE:
-        caps = [1.0 / (2.0 * b) for b in betas]
-        need, thr = "sum(1/beta_i) > 2", 2.0
-    elif case == HAMBURGER_CASE:
-        caps = [1.0 / b for b in betas]
-        need, thr = "sum(1/beta_i) > 1", 1.0
-    else:
+    if case not in _WITNESS_SUPPORT:
         raise ThetaSplitError(f"unknown case {case!r}")
+    support = _WITNESS_SUPPORT[case]
+    thr = moment_threshold(support)
+    caps = [1.0 / (thr * b) for b in betas]
     total = sum(1.0 / b for b in betas)
     if not total > thr:
-        raise ThetaSplitError(
-            f"sum(1/beta_i) = {total:.6g} violates the feasibility requirement {need}")
+        raise ThetaSplitError(f"sum(1/beta_i) = {total:.6g} violates the feasibility "
+                              f"requirement sum(1/beta_i) > {thr:g}")
     lo = max(0.0, 1.0 - caps[-1])
     hi = min(1.0, sum(caps[:-1]))
     if not lo < hi:
@@ -323,16 +316,15 @@ def theta_split(betas: Sequence[float], case: str) -> ThetaSplit:
     w = sum(caps[:-1])
     thetas = [s_star * c / w for c in caps[:-1]]
     thetas.append(1.0 - math.fsum(thetas))
-    split = ThetaSplit(thetas=tuple(thetas), case=case, betas=betas)
+    split = ThetaSplit(thetas=tuple(thetas), support=support, betas=betas)
     # all postconditions checked before returning
-    margin = 2.0 if case == STIELTJES_CASE else 1.0
     for i, (t, b) in enumerate(zip(split.thetas, betas)):
         if not (0.0 < t < 1.0):
             raise ThetaSplitError(f"theta_{i + 1} = {t:.6g} is outside (0, 1)")
-        if not margin * t * b < 1.0:
+        if not thr * t * b < 1.0:
             raise ThetaSplitError(
                 f"theta_{i + 1} * beta_{i + 1} = {t * b:.6g} violates "
-                f"{'2*' if case == STIELTJES_CASE else ''}theta_i*beta_i < 1")
+                f"{'2*' if thr == 2.0 else ''}theta_i*beta_i < 1")
     return split
 
 

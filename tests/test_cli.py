@@ -1,12 +1,14 @@
 import ast
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from momentdet import cli
@@ -113,6 +115,28 @@ class TestAnalyze:
         assert doc["threshold"] == 1.0
         assert [f["family"] for f in doc["input"]["factors"]] == ["GG", "DGG"]
         assert doc["factor_exponents"] == [1.0, 0.5]
+
+    @pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+    def test_non_finite_evidence_is_strict_json(self, tmp_path, pretty):
+        # decreasing_from of this factor overflows: the report says "inf",
+        # which a strict parser accepts, where Infinity is not JSON
+        spec = write_spec(tmp_path, {"factors": [
+            {"family": "GG", "alpha": 2.6e-87, "beta": 0.0217, "gamma": 1.78}]})
+        code, out = run_cli("analyze", spec, *pretty)
+        assert code == cli.EXIT_INCONCLUSIVE
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["side_conditions"][0]["evidence"]["decreasing_from"] == "inf"
+
+    def test_every_non_finite_float_is_named(self, capsys):
+        args = cli.build_parser().parse_args(["analyze", "spec.json"])
+        cli._emit(args, {}, {"values": [float("inf"), -math.inf, math.nan, 1.5],
+                             "nested": {"z": (np.float64(-np.inf),)}})
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["values"] == ["inf", "-inf", "nan", 1.5]
+        assert doc["nested"] == {"z": ["-inf"]}
 
     def test_ratio_flag(self, tmp_path):
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}, {"family": "exp"}]})

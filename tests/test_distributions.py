@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentdet import criteria as cr
+from momentdet import decision as dec
 from momentdet import distributions as dist
 from momentdet import verify as ver
 
@@ -75,6 +77,39 @@ class TestSpecsAndAliases:
         assert dist.support_class(P([dist.gg(1, 1, 1), dist.dgg(1, 1, 1)])) == dist.MIXED
         with pytest.raises(ValueError):
             P([])
+
+    # a product of two factors in each support class
+    CLASS_PRODUCTS = {dist.STIELTJES: [dist.gg(1, 1, 1), dist.ig(1, 2)],
+                      dist.HAMBURGER: [dist.std_normal(), dist.dgg(1, 1, 1)],
+                      dist.MIXED: [dist.half_normal(), dist.std_normal()]}
+
+    @pytest.mark.parametrize("support", [dist.STIELTJES, dist.HAMBURGER, dist.MIXED])
+    def test_every_consumer_keys_on_the_moment_step(self, support):
+        step = dist.MOMENT_STEP[support]
+        thr = 2.0 / step
+        p = dist.ProductSpec(self.CLASS_PRODUCTS[support])
+        assert dist.support_class(p) == support
+        assert dec.decide_product(p).threshold == thr
+        assert dec.ratio_route(p).threshold == 2.0
+        assert cr.LogMomentSequence.from_product(p).step == step
+        case = support.lower()
+        if support == dist.MIXED:            # no witness lives on mixed support
+            with pytest.raises(ValueError, match="case"):
+                ver.build_counterexample(case, 2.0)
+            with pytest.raises(ver.ThetaSplitError, match="unknown case"):
+                ver.theta_split([1.0, 1.0], case)
+            return
+        cd = ver.build_counterexample(case, 2.0)
+        assert cd.support == support
+        assert set(np.diff(ver.verify_growth_bound(cd, a=10.0, kmax=8).orders)) == {step}
+        # equal betas just inside sum(1/beta_i) > thr split evenly, so every
+        # thr theta_i beta_i is 0.99; at sum(1/beta_i) = thr no split exists
+        betas = [2.0 / thr * 0.99] * 2
+        ts = ver.theta_split(betas, case)
+        assert ts.support == support
+        assert [thr * t * b for t, b in zip(ts.thetas, betas)] == pytest.approx([0.99, 0.99])
+        with pytest.raises(ver.ThetaSplitError, match=rf"sum\(1/beta_i\) > {thr:g}$"):
+            ver.theta_split([2.0 / thr] * 2, case)
 
 
 class TestDensity:
@@ -199,6 +234,21 @@ class TestTail:
         d = dist.dgg(1, 2, 1.5)
         for x in (0.3, 1.0, 4.0):
             assert dist.tail(d, -x) + dist.tail(d, x) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d,x", [(dist.gg(1, 1, 1), 1e-10), (dist.gg(1, 1, 1), 1e-20),
+                                     (dist.gg(1, 2, 3), 1e-6), (dist.dgg(1, 1, 1), 1e-10),
+                                     (dist.dgg(1, 1, 1), -1e-10)])
+    def test_log_tail_where_the_tail_is_near_one(self, d, x):
+        # at the left end of a GG tail ln Q is tiny and keeps its relative digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            s = mpmath.mpf(d.gamma) / mpmath.mpf(d.beta)
+            q = mpmath.gammainc(s, d.alpha * mpmath.mpf(abs(x)) ** d.beta, mpmath.inf,
+                                regularized=True)
+            if d.family == dist.DGG:
+                q = q / 2 if x > 0 else 1 - q / 2
+            ref = float(mpmath.log(q))
+        assert dist.log_tail(d, x) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_log_tail_deep(self):
         # far past any double-precision tail probability
