@@ -25,6 +25,7 @@ from .distributions import (
     lin_L,
     lin_L_numeric,
     log_moment,
+    log_moments,
     moment_threshold,
     support_class,
 )
@@ -203,29 +204,52 @@ def ratio_rate(s: LogMomentSequence) -> CriterionReport:
     the raw quotient (scale-sensitive) is reported alongside.
     """
     _require_horizon(s)
-    K = s.k_max
-    v = s.values
+    return _ratio_rate_rows(s.orders, s.values[None, :], s.parity)[0]
+
+
+def ratio_rates(factors: tuple[DistributionSpec, ...], k_max: int,
+                parity: str) -> list[CriterionReport]:
+    """``ratio_rate(LogMomentSequence.from_distribution(d, k_max, parity))``
+    of every factor, bit for bit, from one log-moment matrix in one pass."""
+    orders = np.arange(_STEP[parity], k_max + 1, _STEP[parity])
+    if k_max >= MIN_K_HORIZON and np.isfinite(values := log_moments(factors, orders)).all():
+        return _ratio_rate_rows(orders, values, parity)
+    # below the minimum horizon or past the float range, the factor-by-factor route raises
+    return [ratio_rate(LogMomentSequence.from_distribution(d, k_max, parity)) for d in factors]
+
+
+def _ratio_rate_rows(orders: np.ndarray, values: np.ndarray,
+                     parity: str) -> list[CriterionReport]:
+    """The ratio-rate report of each row of ln m_k values at the orders; the
+    slopes are taken row by row, as a 2-d sum would not keep their bits."""
+    K = int(orders[-1])
     # the ratio of entries j + 1 and j (orders (j + 1) step, j step) goes with ln(j + 1)
-    log_rho = v[1:] - v[:-1]
-    log_idx = np.log(np.arange(2.0, len(v) + 1.0))
-    slope, rise = _tail_window(s.orders[:-1], K, _slope, log_idx, log_rho)
-    direct_max = float(np.max((log_rho / log_idx)[s.orders[:-1] >= K / 2]))
-    status = HOLDS if abs(rise) <= RISE_TOL else INCONCLUSIVE
-    notes = () if status == HOLDS else (
-        f"ratio-rate slope moved by {rise:.4f} between half-windows",)
-    return CriterionReport(
-        criterion="ratio",
-        status=status,
-        evidence={
-            "r_hat": slope,
-            "r_hat_direct": direct_max,
-            "rise_per_doubling": rise,
-            "window": [int(math.ceil(K / 2)), K],
-            "parity": s.parity,
-            "k_max": K,
-        },
-        notes=notes,
-    )
+    log_rho = values[:, 1:] - values[:, :-1]
+    log_idx = np.log(np.arange(2.0, values.shape[1] + 1.0))
+    now, prev = orders[:-1] >= K / 2, (orders[:-1] >= K / 4) & (orders[:-1] <= K / 2)
+    x_now, x_prev = log_idx[now], log_idx[prev]
+    direct = (log_rho / log_idx)[:, now].max(axis=1).tolist()
+    reports = []
+    for y, direct_max in zip(log_rho, direct):
+        slope = _slope(x_now, y[now])
+        rise = slope - _slope(x_prev, y[prev])
+        status = HOLDS if abs(rise) <= RISE_TOL else INCONCLUSIVE
+        notes = () if status == HOLDS else (
+            f"ratio-rate slope moved by {rise:.4f} between half-windows",)
+        reports.append(CriterionReport(
+            criterion="ratio",
+            status=status,
+            evidence={
+                "r_hat": slope,
+                "r_hat_direct": direct_max,
+                "rise_per_doubling": rise,
+                "window": [int(math.ceil(K / 2)), K],
+                "parity": parity,
+                "k_max": K,
+            },
+            notes=notes,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

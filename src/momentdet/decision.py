@@ -12,8 +12,8 @@ applies once its side conditions are verified.  ``RULES`` maps each route
 (single factor, product, ratio of successive moments) and support class to
 its two rule codes; the ratio route has no M-indet rule.  A single factor is
 decided as a product of one and differs from a product only in its row.
-The comparison is exact when every shape parameter is rational; otherwise a
-float sum within ``BOUNDARY_BAND`` of the threshold is inconclusive.
+The comparison is exact, on integers, when every shape parameter is rational;
+otherwise a float sum within ``BOUNDARY_BAND`` of the threshold is inconclusive.
 
 Rule codes ("Theorem 5", "Corollary 1", ...) are this tool's rulebook
 identifiers; ``explain`` renders them together with the verified evidence.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import criteria
@@ -31,7 +30,6 @@ from .criteria import (
     HOLDS,
     INCONCLUSIVE,
     CriterionReport,
-    LogMomentSequence,
 )
 from .distributions import (
     DGG,
@@ -105,24 +103,12 @@ def factor_exponent(d: DistributionSpec) -> float:
     return 1.0 / d.beta
 
 
-def factor_exponent_exact(d: DistributionSpec) -> Optional[Fraction]:
+def exact_exponent(d: DistributionSpec) -> Optional[tuple[int, int]]:
+    """The exponent q/p of beta = p/q as the ints (q, p), (1, 1) for IG; else None."""
     if d.family == IG:
-        return Fraction(1)
-    if d.beta_exact is not None:
-        return 1 / d.beta_exact
-    return None
-
-
-def _at_or_below(total: float, exact_sum: Optional[Fraction],
-                 threshold: float) -> Optional[bool]:
-    """Is an exponent sum at or below the threshold?  Decided in exact
-    arithmetic when the exact sum is known; a float sum within BOUNDARY_BAND
-    of the threshold gives None."""
-    if exact_sum is not None:
-        return exact_sum <= threshold
-    if abs(total - threshold) <= BOUNDARY_BAND:
-        return None
-    return total < threshold
+        return 1, 1
+    b = d.beta_exact
+    return None if b is None else (b.denominator, b.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +303,6 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
 # the decision pipeline
 
 
-def _ratio_rates(factors: Sequence[DistributionSpec], support: str,
-                 cfg: DecisionConfig) -> list[CriterionReport]:
-    """Estimated ratio rates, recorded as evidence with every ratio-route verdict."""
-    parity = criteria.PARITY[MOMENT_STEP[support]]
-    return [criteria.ratio_rate(LogMomentSequence.from_distribution(
-        d, cfg.k_horizon, parity=parity)) for d in factors]
-
-
 def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
     """Compare the exponent sum with the threshold, then cite the route's
     rule from RULES: the M-det rule at or below it, the M-indet rule above it
@@ -339,15 +317,22 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
     scale = MOMENT_STEP[support] if route == RATIO else 1
     threshold = scale * moment_threshold(support)
     exponents = [scale * factor_exponent(d) for d in factors]
-    exact = [factor_exponent_exact(d) for d in factors]
-    exact_sum = scale * sum(exact, Fraction(0)) if all(e is not None for e in exact) else None
     total = math.fsum(exponents)
-    det = _at_or_below(total, exact_sum, threshold)
-    if route == RATIO and exact_sum is not None:
-        # exact rates are reported as rounded from their exact values
-        exponents, total = [float(scale * e) for e in exact], float(exact_sum)
+    exact = [exact_exponent(d) for d in factors]
+    if None in exact:
+        exact = None
+        det = None if abs(total - threshold) <= BOUNDARY_BAND else total < threshold
+    else:
+        num, den = 0, 1   # the exact exponent sum num/den, in ints
+        for q, p in exact:
+            num, den = num * p + q * den, den * p
+        det = num * MOMENT_STEP[support] <= 2 * den
+        if route == RATIO:
+            # exact rates are reported correctly rounded from their exact values
+            exponents, total = [scale * q / p for q, p in exact], scale * num / den
 
-    side = _ratio_rates(factors, support, cfg) if route == RATIO else []
+    side = (criteria.ratio_rates(factors, cfg.k_horizon, criteria.PARITY[MOMENT_STEP[support]])
+            if route == RATIO else [])
     caveats = [_MIXED_CAVEAT] if support == MIXED else []
     if det is None:
         rule, caveat = _BOUNDARY[route]
@@ -375,7 +360,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         factor_exponents=tuple(exponents),
         exponent_sum=total,
         threshold=threshold,
-        exact=exact_sum is not None,
+        exact=exact is not None,
         support=support,
         caveats=tuple(caveats),
     )

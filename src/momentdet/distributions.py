@@ -339,21 +339,33 @@ def log_moment(d: DistributionSpec, k):
     """ln E[X^k] in closed form for an order or an array of orders; -inf for
     the vanishing odd moments of DGG.
 
-    A scalar order is the 0-d case of the array computation, so a moment
-    sequence and its single entries agree bit for bit.
+    Orders are a one-row case of ``log_moments``, so a product's matrix, a
+    moment sequence and its single entries agree bit for bit.
     """
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise ValueError("moment order k must be an integer >= 1")
-    if d.family == IG:
-        out = _ig_log_moments(d, int(ks.max()))[ks]
-    else:
-        s = d.gamma / d.beta
-        out = (-ks / d.beta) * math.log(d.alpha) + special.gammaln((d.gamma + ks) / d.beta) \
-            - special.gammaln(s)
-        if d.family == DGG:
-            out = np.where(ks % 2 == 1, -np.inf, out)
+    out = log_moments((d,), ks.ravel())[0].reshape(ks.shape)
     return float(out) if ks.ndim == 0 else out
+
+
+def log_moments(factors: tuple[DistributionSpec, ...], ks: np.ndarray) -> np.ndarray:
+    """ln E[X^k] of each factor (rows) at the 1-d orders ks >= 1 (columns):
+    the GG and DGG rows from one expression with their parameters as column
+    vectors, the IG rows from their recurrence."""
+    out = np.empty((len(factors), len(ks)))
+    rows = [i for i, d in enumerate(factors) if d.family != IG]
+    if rows:
+        ln_alpha, beta, gamma, s = np.array([(math.log(d.alpha), d.beta, d.gamma, d.gamma / d.beta)
+                                             for d in [factors[i] for i in rows]]).T[:, :, None]
+        out[rows] = (-ks / beta) * ln_alpha + special.gammaln((gamma + ks) / beta) \
+            - special.gammaln(s)
+    for i, d in enumerate(factors):
+        if d.family == IG:
+            out[i] = _ig_log_moments(d, int(ks.max()))[ks]
+        elif d.family == DGG:
+            out[i, ks % 2 == 1] = -np.inf
+    return out
 
 
 def _ig_log_moments(d: DistributionSpec, k_max: int) -> np.ndarray:
@@ -365,18 +377,17 @@ def _ig_log_moments(d: DistributionSpec, k_max: int) -> np.ndarray:
     # compensated (Neumaier) running sum of ln r_j.
     log_mu2 = 2.0 * math.log(d.mu)
     log_c = (np.log(np.arange(1, 2 * k_max, 2, dtype=float)) + (log_mu2 - math.log(d.lam))).tolist()
-    log_r = math.log(d.mu)
-    total, comp = 0.0, 0.0
-    out = [0.0]
-    for k in range(1, k_max + 1):
+    log_r = total = math.log(d.mu)
+    comp = 0.0
+    out = [0.0, total]
+    append, log1p, exp = out.append, math.log1p, math.exp
+    for a in log_c[:k_max - 1]:
+        b = log_mu2 - log_r
+        log_r = a + log1p(exp(b - a)) if a >= b else b + log1p(exp(a - b))
         t = total + log_r
         comp += (total - t) + log_r if abs(total) >= abs(log_r) else (log_r - t) + total
         total = t
-        out.append(total + comp)
-        if k < k_max:
-            a, b = log_c[k - 1], log_mu2 - log_r
-            hi, lo = (a, b) if a >= b else (b, a)
-            log_r = hi + math.log1p(math.exp(lo - hi))
+        append(total + comp)
     return np.array(out)
 
 

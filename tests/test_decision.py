@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -76,9 +77,9 @@ class TestFactorExponent:
         assert dec.factor_exponent(d) == pytest.approx(expected, rel=1e-12)
 
     def test_exact_rationals(self):
-        assert dec.factor_exponent_exact(dist.gg(1, "1/3", 1)) == Fraction(3)
-        assert dec.factor_exponent_exact(dist.ig(2, 2)) == Fraction(1)
-        assert dec.factor_exponent_exact(
+        assert dec.exact_exponent(dist.gg(1, "1/3", 1)) == (3, 1)
+        assert dec.exact_exponent(dist.ig(2, 2)) == (1, 1)
+        assert dec.exact_exponent(
             dist.DistributionSpec("GG", alpha=1.0, beta=0.5000001, gamma=1.0)) is None
 
     @pytest.mark.parametrize("d", [
@@ -616,6 +617,74 @@ def _mp_tail_ratio_and_hazard(d, ln_x):
         ln_env = (mpmath.mpf(d.gamma) - d.beta) * ln_x - z
         # x f(x) = beta z^s e^-z / Gamma(s) on x > 0, halved for DGG as the tail is
         return float(ln_tail - ln_env), float(mpmath.log(d.beta) + s * ln_z - z - ln_upper)
+
+
+# exact rational and float shapes; horizons 40-200, the odd ones included
+_RATIO_BETAS = st.one_of(st.sampled_from(["1/3", "1/2", 1, 2, "5/2"]), _SHAPES[1])
+RATIO_FACTORS = st.one_of(st.builds(dist.gg, _SHAPES[0], _RATIO_BETAS, _SHAPES[2]),
+                          st.builds(dist.dgg, _SHAPES[0], _RATIO_BETAS, _SHAPES[2]),
+                          FUZZ_FACTORS)
+
+
+def _per_factor_rates(factors, k_horizon):
+    parity = cr.PARITY[dist.MOMENT_STEP[dist.support_class(P(factors))]]
+    return tuple(cr.ratio_rate(cr.LogMomentSequence.from_distribution(d, k_horizon, parity))
+                 for d in factors)
+
+
+@given(factors=st.lists(RATIO_FACTORS, min_size=1, max_size=8),
+       k_horizon=st.one_of(st.sampled_from([40, 41, 199, 200]), st.integers(40, 200)))
+@example(factors=[EXP, IG11], k_horizon=41)
+@example(factors=[NORMAL, dist.dgg(2, "1/2", 3)], k_horizon=199)
+@example(factors=[HALF_NORMAL, NORMAL, dist.ig(0.13, 6.6)], k_horizon=41)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ratio_evidence_is_the_per_factor_rate(factors, k_horizon):
+    """The ratio route rates all factors in one pass; every report, evidence
+    and note, is the one-factor ``ratio_rate`` of that factor's own sequence,
+    bit for bit, and a horizon below the minimum raises the same error."""
+    v = dec.ratio_route(P(factors), dec.DecisionConfig(k_horizon=k_horizon))
+    assert v.side_conditions == _per_factor_rates(factors, k_horizon)
+    with pytest.raises(ValueError) as want:
+        _per_factor_rates(factors, 39)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        dec.ratio_route(P(factors), dec.DecisionConfig(k_horizon=39))
+
+
+def test_ratio_evidence_past_the_float_range_raises():
+    # with beta = 5e-304, ln m_k passes the float range from order 127 on
+    p = P([EXP, dist.gg(1, 5e-304, 1)])
+    with pytest.raises(ValueError, match="every stored ln m_k must be finite"):
+        _per_factor_rates(p.factors, 200)
+    with pytest.raises(ValueError, match="every stored ln m_k must be finite"):
+        dec.ratio_route(p)
+
+
+EXACT_FACTORS = st.one_of(
+    *(st.builds(make, st.just(1), st.fractions(Fraction(1, 12), 30, max_denominator=12),
+                st.just(1)) for make in (dist.gg, dist.dgg)),
+    st.just(IG11))
+
+
+@given(factors=st.lists(EXACT_FACTORS, min_size=1, max_size=8))
+@example(factors=[EXP, EXP])                                   # Stieltjes, sum 2
+@example(factors=[dist.dgg(1, 2, 1), dist.dgg(1, 2, 1)])       # Hamburger, sum 1
+@example(factors=[dist.gg(1, 2, 1), dist.dgg(1, 2, 1)])        # Mixed, sum 1
+@example(factors=[dist.gg(1, "2/3", 1), IG11, dist.dgg(1, 6, 1)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_integer_comparison_matches_fractions(factors):
+    """With every beta rational, the verdict, ``exact`` and the ratio route's
+    rates are those of the exact Fraction sum, bit for bit."""
+    support = dist.support_class(P(factors))
+    step = dist.MOMENT_STEP[support]
+    exps = [Fraction(1) if d.family == dist.IG else 1 / d.beta_exact for d in factors]
+    total = sum(exps, Fraction(0))
+    det = total * step <= 2
+    main = dec.decide_product(P(factors))
+    assert main.exact and (main.conclusion == dec.M_DET) == det
+    ratio = dec.ratio_route(P(factors), dec.DecisionConfig(k_horizon=40))
+    assert ratio.exact and ratio.conclusion == (dec.M_DET if det else cr.INCONCLUSIVE)
+    assert ratio.factor_exponents == tuple(float(step * e) for e in exps)
+    assert ratio.exponent_sum == float(step * total)
 
 
 @pytest.mark.skipif(mpmath is None, reason="needs mpmath")

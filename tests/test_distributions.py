@@ -428,6 +428,8 @@ class TestArrayKernels:
                 ref.append(float(k * mpmath.log(mu) + mpmath.log(total)))
         got = dist.log_moment(dist.ig(mu, lam), self.ORDERS)
         assert np.max(np.abs(got - np.array(ref))) <= 1e-11
+        # and to 1e-13 relative at every order, ln m_1 = ln 1 = 0 of IG(1, 1) exactly
+        assert np.all(np.abs(got - np.array(ref)) <= 1e-13 * np.abs(ref))
 
     def test_ig_tail_far_out_is_finite(self):
         # at x = 1e12 the two normal-tail terms of the IG tail agree in every
