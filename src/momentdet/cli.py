@@ -78,7 +78,7 @@ def _int_in(lo: int, hi: float = math.inf):
 # name -> (default, check, requirement).  Each setting comes from its flag,
 # else the spec's overrides, else the default; these are the only override keys.
 SETTINGS = {
-    "k_horizon": (decision.DEFAULT_CONFIG.k_horizon, _int_in(criteria.MIN_K_HORIZON),
+    "k_horizon": (criteria.DEFAULT_K_HORIZON, _int_in(criteria.MIN_K_HORIZON),
                   f"an integer >= {criteria.MIN_K_HORIZON}"),
     "x0": (decision.DEFAULT_CONFIG.x0, lambda v: _finite(v) and v > 0,
            "a finite positive number"),
@@ -213,9 +213,9 @@ def _emit(args, inputs: dict, body: dict) -> None:
 def cmd_analyze(args) -> int:
     product, overrides = load_spec(args.spec)
     s = _settings(args, overrides)
-    cfg = decision.DecisionConfig(k_horizon=s["k_horizon"], x0=float(s["x0"]))
+    cfg = decision.DecisionConfig(x0=float(s["x0"]))
     verdict = decision.decide_product(product, cfg)
-    report = {"k_horizon": cfg.k_horizon, "x0": cfg.x0, **verdict.to_dict()}
+    report = {"k_horizon": s["k_horizon"], "x0": cfg.x0, **verdict.to_dict()}
     if args.ratio:
         report["ratio_route"] = decision.ratio_route(product, cfg).to_dict()
     if args.pretty:

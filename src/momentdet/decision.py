@@ -7,7 +7,8 @@ Every verdict follows one pattern.  Each factor has a growth exponent
 their sum is compared with the support-class threshold, 2/step with the
 class's moment step from ``distributions.MOMENT_STEP``: 2 on the half line
 (Stieltjes), 1 on the real line and for mixed products.  At or below the
-threshold the route's M-det rule applies; above it the route's M-indet rule
+threshold the route's M-det rule applies (on the ratio route once every
+factor's rate certificate is finite); above it the route's M-indet rule
 applies once its side conditions are verified.  ``RULES`` maps each route
 (single factor, product, ratio of successive moments) and support class to
 its two rule codes; the ratio route has no M-indet rule.  A single factor is
@@ -24,11 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import criteria
 from .criteria import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    PARITY,
     CriterionReport,
 )
 from .distributions import (
@@ -59,7 +60,6 @@ BOUNDARY_BAND = 0.005
 
 @dataclass(frozen=True)
 class DecisionConfig:
-    k_horizon: int = criteria.DEFAULT_K_HORIZON
     x0: float = 1.0
 
 
@@ -300,6 +300,50 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
 
 
 # ---------------------------------------------------------------------------
+# rate certificates of the ratio route
+#
+# With the moment step s, every factor gets closed-form constants with
+#   r ln(j+1) + ln C_lower <= ln(m_((j+1)s) / m_(js)) <= r ln(j+1) + ln C_upper
+# for every j >= 1, r being its rate s/beta (IG: s), again in log space.
+
+_NOTE_RATIO_GG = ("ln(m_(k+s)/m_k) = -r ln alpha + h psi(y) for some y in (x, x+h), "
+                  "x = (gamma+k)/beta, h = r = s/beta, k = js; ln y - 1/y < psi(y) < ln y "
+                  "(Alzer, Math. Comp. 66 (1997)), x+h <= (j+1)(s+gamma/2)/beta, "
+                  "x >= (j+1)s/(2 beta), 1/x <= beta/(gamma+s)")
+_NOTE_RATIO_IG = ("r_(k+1) = m_(k+1)/m_k = (2k-1) mu^2/lam + mu^2/r_k, r_1 = mu, so "
+                  "(2k-1) mu^2/lam <= r_(k+1) <= (2k-1) mu^2/lam + lam/(2k-3) for k >= 2, and "
+                  "(k+1) mu^2/(2 lam) <= r_(k+1) <= (k+1)(2 mu^2/lam + lam/3) for k >= 1 "
+                  "(r_2 = mu + mu^2/lam by AM-GM); the even step r_(2j+2) r_(2j+1) with "
+                  "2(j+1)^2 <= (2j+2)(2j+1) <= 4(j+1)^2")
+
+
+def _certify_rate(d: DistributionSpec, index: int, step: int, rate: float) -> CriterionReport:
+    """The two-sided bound of a factor's successive-moment ratio at the step,
+    at its exact rate; a constant that is not finite fails."""
+    ln2 = math.log(2.0)
+    if d.family == IG:
+        ln_lam = math.log(d.lam)
+        ln_q = 2.0 * math.log(d.mu) - ln_lam       # ln(mu^2/lam), mu^2 never formed
+        up = ln2 + ln_q + _softplus(ln_lam - math.log(3.0) - ln2 - ln_q)
+        lo = ln_q - ln2
+        if step == 2:
+            up, lo = 2.0 * (up + ln2), 2.0 * lo + ln2
+        note = _NOTE_RATIO_IG
+    else:
+        ln_base = math.log(step) - math.log(d.beta) - math.log(d.alpha)
+        up = rate * (ln_base + math.log1p(d.gamma / (2 * step)))
+        lo = rate * (ln_base - ln2 - d.beta / (d.gamma + step))
+        note = _NOTE_RATIO_GG
+    return CriterionReport(
+        criterion="ratio",
+        status=HOLDS if math.isfinite(up) and math.isfinite(lo) else FAILS,
+        evidence={"factor_index": index, "factor": str(d), "rate": rate,
+                  "ln_C_upper": up, "ln_C_lower": lo, "j_from": 1, "parity": PARITY[step]},
+        notes=(note,),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the decision pipeline
 
 
@@ -314,7 +358,8 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
     det_rule, indet_rule = RULES[route][support]
     # the ratio route takes the rates step/beta of its class's moment step,
     # against step times the threshold, which is 2
-    scale = MOMENT_STEP[support] if route == RATIO else 1
+    step = MOMENT_STEP[support]
+    scale = step if route == RATIO else 1
     threshold = scale * moment_threshold(support)
     exponents = [scale * factor_exponent(d) for d in factors]
     total = math.fsum(exponents)
@@ -326,25 +371,24 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         num, den = 0, 1   # the exact exponent sum num/den, in ints
         for q, p in exact:
             num, den = num * p + q * den, den * p
-        det = num * MOMENT_STEP[support] <= 2 * den
+        det = num * step <= 2 * den
         if route == RATIO:
             # exact rates are reported correctly rounded from their exact values
             exponents, total = [scale * q / p for q, p in exact], scale * num / den
 
-    side = (criteria.ratio_rates(factors, cfg.k_horizon, criteria.PARITY[MOMENT_STEP[support]])
+    side = ([_certify_rate(d, i, step, r) for i, (d, r) in enumerate(zip(factors, exponents))]
             if route == RATIO else [])
     caveats = [_MIXED_CAVEAT] if support == MIXED else []
     if det is None:
         rule, caveat = _BOUNDARY[route]
         conclusion = INCONCLUSIVE
         caveats.append(caveat)
-    elif det:
-        conclusion, rule = M_DET, "; ".join([det_rule, *_corollary_tags(factors)])
-    elif indet_rule is None:
+    elif not det and indet_rule is None:
         conclusion, rule = INCONCLUSIVE, _RATIO_NOT_APPLICABLE
         caveats.append("rate sum exceeds 2; this route cannot prove indeterminacy")
     else:
-        side = _indet_side_conditions(factors, support, cfg)
+        if not det:
+            side = _indet_side_conditions(factors, support, cfg)
         failed = [r.criterion + (f"[{r.evidence['factor_index']}]"
                                  if "factor_index" in r.evidence else "")
                   for r in side if not r.holds]
@@ -352,7 +396,8 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
             conclusion, rule = INCONCLUSIVE, "side conditions unverified"
             caveats.append(f"unverified: {', '.join(failed)}")
         else:
-            conclusion, rule = M_INDET, "; ".join([indet_rule, *_corollary_tags(factors)])
+            conclusion, rule = (M_DET, det_rule) if det else (M_INDET, indet_rule)
+            rule = "; ".join([rule, *_corollary_tags(factors)])
     return Verdict(
         conclusion=conclusion,
         rule=rule,
@@ -387,8 +432,8 @@ def ratio_route(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict
 
     The closed-form rates decide: 1/beta on the half line, 2/beta in the
     even-order form on the real line (IG: 1 and 2).  A rate sum at most 2
-    proves M-det; this route can never prove indeterminacy.  The estimated
-    rates are recorded as evidence only.
+    proves M-det once every factor's two-sided ratio certificate is finite;
+    this route can never prove indeterminacy.
     """
     return _decide(p, RATIO, cfg)
 
@@ -398,7 +443,8 @@ def ratio_route(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict
 
 
 # evidence keys shown by ``explain``, with their labels
-_SHOWN = {"r_hat": "r_hat", "ln_A": "ln A", "ln_B": "ln B", "factor": "factor"}
+_SHOWN = {"rate": "r", "ln_C_upper": "ln C_upper", "ln_C_lower": "ln C_lower",
+          "ln_A": "ln A", "ln_B": "ln B", "factor": "factor"}
 
 
 def explain(v: Verdict) -> str:

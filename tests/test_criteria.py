@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentdet import criteria as cr
@@ -95,6 +95,23 @@ class TestLogMomentSequence:
         assert c.orders.tolist() == orders.tolist()
         expected = [sum(dist.log_moment(d, int(k)) for d in factors) for k in orders]
         assert c.values.tolist() == expected
+
+    @given(factors=st.lists(_FACTORS, min_size=1, max_size=8), k_max=st.integers(40, 200))
+    @example(factors=[dist.exponential(), dist.ig(2, 1)], k_max=41)                 # Stieltjes
+    @example(factors=[dist.std_normal(), dist.dgg(2, "1/2", 3)], k_max=199)         # Hamburger
+    @example(factors=[dist.half_normal(), dist.std_normal(), dist.ig(0.13, 6.6)],   # Mixed
+             k_max=200)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_from_product_is_compose(self, factors, k_max):
+        # one log-moment matrix, its rows summed in factor order, has the bits
+        # of composing the factors' own sequences at the product's parity
+        p = dist.ProductSpec(factors)
+        parity = cr.PARITY[dist.MOMENT_STEP[dist.support_class(p)]]
+        s = cr.LogMomentSequence.from_product(p, k_max)
+        c = cr.compose([seq_of(d, k_max, parity=parity) for d in factors])
+        assert s.parity == c.parity == parity
+        assert s.orders.tolist() == c.orders.tolist()
+        assert s.values.tobytes() == c.values.tobytes()
 
     def test_horizon_floor(self):
         s = seq_of(dist.exponential(), k_max=20)

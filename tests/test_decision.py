@@ -1,10 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import os
 import pathlib
 import random
-import re
 import subprocess
 import sys
 import warnings
@@ -413,9 +413,23 @@ class TestRatioRoute:
             assert ratio.exact and main.exact
             assert (ratio.conclusion == dec.M_DET) == (main.conclusion == dec.M_DET), str(p)
 
+    def test_failed_certificate_leaves_m_det_unverified(self, monkeypatch):
+        # with a rate sum at most 2 every constant is finite; a certificate
+        # that fails all the same is named, as an indeterminacy one is
+        certify = dec._certify_rate
+
+        def second_fails(d, index, step, rate):
+            rep = certify(d, index, step, rate)
+            return dataclasses.replace(rep, status=cr.FAILS) if index == 1 else rep
+
+        monkeypatch.setattr(dec, "_certify_rate", second_fails)
+        v = dec.ratio_route(P([EXP, EXP]))
+        assert (v.conclusion, v.rule) == (cr.INCONCLUSIVE, "side conditions unverified")
+        assert v.caveats == ("unverified: ratio[1]",)
+
     def test_float_band_product_not_determinate(self):
-        # exact exponent sum 0.5014 + 1 + 0.5 = 2.0014 lies above 2; the
-        # estimated rates converge from below and sum to about 1.947
+        # exact exponent sum 0.5014 + 1 + 0.5 = 2.0014 lies above 2, and
+        # with a float shape the sum is not exact
         p = P([dist.gg(1, 1 / 0.5014, 1), dist.ig(0.13, 6.6), dist.gg(0.5, 2, 3.1)])
         v = dec.ratio_route(p)
         assert v.conclusion == cr.INCONCLUSIVE
@@ -619,44 +633,86 @@ def _mp_tail_ratio_and_hazard(d, ln_x):
         return float(ln_tail - ln_env), float(mpmath.log(d.beta) + s * ln_z - z - ln_upper)
 
 
-# exact rational and float shapes; horizons 40-200, the odd ones included
+# scales over the whole float range; exact rational and float shapes
+_WIDE = _log_uniform(1e-300, 1e300)
 _RATIO_BETAS = st.one_of(st.sampled_from(["1/3", "1/2", 1, 2, "5/2"]), _SHAPES[1])
-RATIO_FACTORS = st.one_of(st.builds(dist.gg, _SHAPES[0], _RATIO_BETAS, _SHAPES[2]),
-                          st.builds(dist.dgg, _SHAPES[0], _RATIO_BETAS, _SHAPES[2]),
-                          FUZZ_FACTORS)
+RATIO_FACTORS = st.one_of(*(st.builds(make, _WIDE, _RATIO_BETAS, _SHAPES[2])
+                            for make in (dist.gg, dist.dgg)),
+                          st.builds(dist.ig, _WIDE, _WIDE))
 
 
-def _per_factor_rates(factors, k_horizon):
-    parity = cr.PARITY[dist.MOMENT_STEP[dist.support_class(P(factors))]]
-    return tuple(cr.ratio_rate(cr.LogMomentSequence.from_distribution(d, k_horizon, parity))
-                 for d in factors)
+def _mp_log_moments(d, k_max):
+    """ln m_0 .. ln m_kmax with 50 digits: the GG/DGG closed form (even orders
+    for DGG), the IG three-term recurrence in exact positive terms."""
+    with mpmath.workdps(50):
+        if d.family == dist.IG:
+            mu, lam = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+            m = [mpmath.mpf(1), mu]
+            for k in range(1, k_max):
+                m.append((2 * k - 1) * mu ** 2 / lam * m[k] + mu ** 2 * m[k - 1])
+            return [mpmath.log(v) for v in m]
+        alpha, beta, gamma = (mpmath.mpf(v) for v in (d.alpha, d.beta, d.gamma))
+        return [-k / beta * mpmath.log(alpha) + mpmath.loggamma((gamma + k) / beta)
+                - mpmath.loggamma(gamma / beta) for k in range(k_max + 1)]
 
 
-@given(factors=st.lists(RATIO_FACTORS, min_size=1, max_size=8),
-       k_horizon=st.one_of(st.sampled_from([40, 41, 199, 200]), st.integers(40, 200)))
-@example(factors=[EXP, IG11], k_horizon=41)
-@example(factors=[NORMAL, dist.dgg(2, "1/2", 3)], k_horizon=199)
-@example(factors=[HALF_NORMAL, NORMAL, dist.ig(0.13, 6.6)], k_horizon=41)
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@given(d=RATIO_FACTORS, even=st.booleans())
+@example(d=dist.gg(1e-300, 0.03, 0.01), even=False)
+@example(d=dist.dgg(1e300, 30, 100), even=True)
+@example(d=dist.ig(1e300, 1e-300), even=False)
+@example(d=dist.ig(1e-300, 1e300), even=True)
+@example(d=dist.ig(1, 1e300), even=False)
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_ratio_evidence_is_the_per_factor_rate(factors, k_horizon):
-    """The ratio route rates all factors in one pass; every report, evidence
-    and note, is the one-factor ``ratio_rate`` of that factor's own sequence,
-    bit for bit, and a horizon below the minimum raises the same error."""
-    v = dec.ratio_route(P(factors), dec.DecisionConfig(k_horizon=k_horizon))
-    assert v.side_conditions == _per_factor_rates(factors, k_horizon)
-    with pytest.raises(ValueError) as want:
-        _per_factor_rates(factors, 39)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        dec.ratio_route(P(factors), dec.DecisionConfig(k_horizon=39))
+def test_rate_certificates_hold_against_mpmath(d, even):
+    """At every order up to 200, steps 1 and 2 (DGG: 2), the 50-digit
+    ln(m_((j+1)s)/m_(js)) lies within r ln(j+1) + ln C_lower and
+    r ln(j+1) + ln C_upper, up to the rounding of the closed forms."""
+    step = 2 if even or d.family == dist.DGG else 1
+    rep = dec._certify_rate(d, 0, step, step * dec.factor_exponent(d))
+    assert rep.holds and rep.evidence["j_from"] == 1
+    r, up, lo = (rep.evidence[key] for key in ("rate", "ln_C_upper", "ln_C_lower"))
+    ln_m = _mp_log_moments(d, 200)
+    with mpmath.workdps(50):
+        for j in range(1, 200 // step):
+            ln_ratio = ln_m[(j + 1) * step] - ln_m[j * step]
+            ln_idx = r * mpmath.log(j + 1)
+            assert ln_ratio - ln_idx <= up + 1e-12 * (1 + abs(up)), (str(d), step, j)
+            assert ln_ratio - ln_idx >= lo - 1e-12 * (1 + abs(lo)), (str(d), step, j)
 
 
-def test_ratio_evidence_past_the_float_range_raises():
-    # with beta = 5e-304, ln m_k passes the float range from order 127 on
-    p = P([EXP, dist.gg(1, 5e-304, 1)])
-    with pytest.raises(ValueError, match="every stored ln m_k must be finite"):
-        _per_factor_rates(p.factors, 200)
-    with pytest.raises(ValueError, match="every stored ln m_k must be finite"):
-        dec.ratio_route(p)
+# every positive float as a scale or a shape
+_ANY = _log_uniform(1e-320, 1e308)
+ANY_FACTORS = st.one_of(*(st.builds(make, _ANY, st.one_of(_RATIO_BETAS, _ANY), _ANY)
+                          for make in (dist.gg, dist.dgg)),
+                        st.builds(dist.ig, _ANY, _ANY))
+
+
+@given(factors=st.lists(ANY_FACTORS, min_size=1, max_size=8))
+@example(factors=[EXP, dist.gg(1, 5e-304, 1)])
+@example(factors=[dist.gg(5e-324, 5e-324, 1.7e308), dist.ig(1.7e308, 5e-324)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ratio_route_is_total(factors):
+    """No exception or RuntimeWarning escapes the ratio route for a valid
+    spec; every factor has its certificate, and an M-det verdict holds them all."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = dec.ratio_route(P(factors))
+    assert [r.evidence["factor_index"] for r in v.side_conditions] == list(range(len(factors)))
+    if v.conclusion == dec.M_DET:
+        assert all(r.holds for r in v.side_conditions)
+
+
+@given(factors=st.lists(RATIO_FACTORS, min_size=1, max_size=8))
+@example(factors=[EXP, dist.ig(1e-300, 1e300)])
+@example(factors=[dist.half_normal(), dist.dgg(1e300, 2, 1)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ratio_route_m_det_is_decide_product_m_det(factors):
+    """With scales over the whole float range and every shape exact, the
+    ratio route is M-det exactly where ``decide_product`` is."""
+    ratio, main = dec.ratio_route(P(factors)), dec.decide_product(P(factors))
+    if ratio.exact and main.exact:
+        assert (ratio.conclusion == dec.M_DET) == (main.conclusion == dec.M_DET), str(P(factors))
 
 
 EXACT_FACTORS = st.one_of(
@@ -681,7 +737,7 @@ def test_integer_comparison_matches_fractions(factors):
     det = total * step <= 2
     main = dec.decide_product(P(factors))
     assert main.exact and (main.conclusion == dec.M_DET) == det
-    ratio = dec.ratio_route(P(factors), dec.DecisionConfig(k_horizon=40))
+    ratio = dec.ratio_route(P(factors))
     assert ratio.exact and ratio.conclusion == (dec.M_DET if det else cr.INCONCLUSIVE)
     assert ratio.factor_exponents == tuple(float(step * e) for e in exps)
     assert ratio.exponent_sum == float(step * total)
@@ -707,16 +763,21 @@ def test_certificates_hold_against_mpmath(d, ln_x0, u):
 
 def test_indet_decision_loads_no_heavy_module():
     # the certificates are a few math operations: an indeterminate decision
-    # imports neither NumPy, nor mpmath, nor the special functions, nor the
-    # quadrature and root-finding modules
+    # and an M-det and an inconclusive ratio route import neither NumPy, nor
+    # mpmath, nor the special functions, nor the quadrature and root-finding
+    # modules
     src = str(pathlib.Path(dec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys; from momentdet import decision as dec, distributions as dist; "
-            "v = dec.decide_product(dist.ProductSpec([dist.ig(1, 1), dist.ig(2, 1), "
+            "P = dist.ProductSpec; "
+            "v = dec.decide_product(P([dist.ig(1, 1), dist.ig(2, 1), "
             "dist.exponential(), dist.std_normal(), dist.gg(1, '1/3', 1)])); "
-            "print(v.conclusion, [m for m in ('numpy', 'mpmath', 'scipy.special', 'scipy.integrate', "
+            "det = dec.ratio_route(P([dist.ig(1, 1), dist.exponential()])); "
+            "inc = dec.ratio_route(P([dist.ig(1, 1), dist.std_normal(), dist.gg(1, '1/3', 1)])); "
+            "print(v.conclusion, det.conclusion, inc.conclusion, "
+            "[m for m in ('numpy', 'mpmath', 'scipy.special', 'scipy.integrate', "
             "'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "M-indet []"
+    assert out.strip() == "M-indet M-det inconclusive []"
