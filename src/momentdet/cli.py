@@ -215,7 +215,7 @@ def cmd_analyze(args) -> int:
     s = _settings(args, overrides)
     cfg = decision.DecisionConfig(x0=float(s["x0"]))
     verdict = decision.decide_product(product, cfg)
-    report = {"k_horizon": s["k_horizon"], "x0": cfg.x0, **verdict.to_dict()}
+    report = {"x0": cfg.x0, **verdict.to_dict()}
     if args.ratio:
         report["ratio_route"] = decision.ratio_route(product, cfg).to_dict()
     if args.pretty:
@@ -339,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use a built-in witness density instead of a spec")
     pc.add_argument("--delta", type=float, default=2.0,
                     help="log-modulation exponent of the witness density (> 1)")
+    pc.add_argument("--k-horizon", type=int, default=None, dest="k_horizon",
+                    help=f"moment horizon K (default {SETTINGS['k_horizon'][0]})")
 
     pv = sub.add_parser("verify", help="oracle agreement and Monte Carlo cross-check")
     pv.add_argument("spec", help="JSON product spec file")
@@ -348,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p, fn in ((pa, cmd_analyze), (pc, cmd_criterion), (pv, cmd_verify)):
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
         if p is not pv:
-            p.add_argument("--k-horizon", type=int, default=None, dest="k_horizon",
-                           help=f"moment horizon K (default {SETTINGS['k_horizon'][0]})")
             p.add_argument("--x0", type=float, default=None,
                            help="tail threshold for side-condition verification "
                                 f"(default {SETTINGS['x0'][0]:g})")

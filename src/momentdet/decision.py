@@ -22,6 +22,7 @@ identifiers; ``explain`` renders them together with the verified evidence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,7 +44,7 @@ from .distributions import (
     LOG_2PI,
     DistributionSpec,
     ProductSpec,
-    decreasing_from,
+    log_decreasing_from,
     log_hazard,  # unused here; benchmarks/test_bench_specs.py traces decision.log_hazard
     moment_threshold,
     support_class,
@@ -197,6 +198,7 @@ _NOTE_HAZARD_IG = ("F-bar(x) <= sqrt(lam/2pi) e^(lam/mu) x^(-3/2) e^(-kx)/k and 
                    "k = lam/(2 mu^2), so x h(x) >= k x0 e^(-lam/(2 x0))")
 _NOTE_TAIL_IG = ("int_x^inf y^(-3/2) e^(-ky) dy >= x^(-3/2) e^(-kx)/(k + 3/(2x)) and "
                  "e^(-lam/(2y)) >= e^(-lam/(2 x0)) for y >= x >= x0")
+_NOTE_TAIL_IG_CLAMPED = _NOTE_TAIL_IG + "; ln B overflows: the largest float, a smaller B, is given"
 
 
 def _softplus(t: float) -> float:
@@ -220,8 +222,9 @@ def _gg_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
         ln_gap = (math.log1p(s * math.expm1(u)) if u < 1.0
                   else ln_zc + math.log1p(-(s - 1.0) * math.exp(-ln_zc)))
         ln_a, hazard_note = ln_beta + ln_gap, _NOTE_HAZARD_S_GT_1
-    # s is 0 only where gamma/beta underflows; Gamma(s) is then past the float range
-    ln_b = (s - 1.0) * ln_alpha - (math.lgamma(s) if s > 0.0 else math.inf)
+    # ln Gamma(s) is past the float range where gamma/beta underflows to 0 or
+    # lies above 2.5e305; ln B is then not finite, or nan, and the check fails
+    ln_b = (s - 1.0) * ln_alpha - (math.lgamma(s) if 0.0 < s < 2.5e305 else math.inf)
     tail_note = _NOTE_TAIL_S_GE_1
     if s < 1.0:
         # z/(z+1-s) >= 1/(1 + (1-s)/z0) for z >= z0
@@ -232,31 +235,32 @@ def _gg_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
     return ln_xc, ln_a, hazard_note, ln_b, tail_note
 
 
-def _ig_certificates(d: DistributionSpec, ln_x0: float, x0: float) -> tuple:
-    """(ln x0, ln A, note, ln B, note) of an IG factor from x0."""
-    ln_k = math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
-    damp = d.lam / (2.0 * x0)
+def _ig_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
+    """(ln x0, ln A, note, ln B, note) of an IG factor from x0 = e^ln_x0."""
+    ln_lam = math.log(d.lam)
+    ln_k = ln_lam - math.log(2.0) - 2.0 * math.log(d.mu)
+    damp = math.exp(ln_lam - math.log(2.0) - ln_x0)    # lam/(2 x0), finite for x0 >= 1
     ln_a = ln_k + ln_x0 - damp
-    ln_b = (0.5 * (math.log(d.lam) - LOG_2PI) + d.lam / d.mu - damp
+    ln_b = (0.5 * (ln_lam - LOG_2PI) + d.lam / d.mu - damp
             - ln_k - _softplus(math.log(1.5) - ln_x0 - ln_k))
+    if ln_b == math.inf:                                # lam/mu overflows
+        return ln_x0, ln_a, _NOTE_HAZARD_IG, sys.float_info.max, _NOTE_TAIL_IG_CLAMPED
     return ln_x0, ln_a, _NOTE_HAZARD_IG, ln_b, _NOTE_TAIL_IG
 
 
 def _certify_envelope(d: DistributionSpec, index: int,
-                      x0: float) -> tuple[CriterionReport, CriterionReport]:
-    """Condition (ii) for one factor: the hazard bound x h(x) >= A and the
-    envelope F-bar(x) >= B x^g e^(-a x^b), each with its closed-form ln A or
-    ln B, its certified start and the inequality behind it.  A certificate
-    that is not finite fails."""
-    ln_x0 = math.log(x0)
+                      ln_x0: float) -> tuple[CriterionReport, CriterionReport]:
+    """Condition (ii) for one factor from x0 = e^ln_x0: the hazard bound
+    x h(x) >= A and the envelope F-bar(x) >= B x^g e^(-a x^b), each with its
+    closed-form ln A or ln B, its certified start and the inequality behind
+    it.  A certificate that is not finite fails."""
     ln_xc, ln_a, hazard_note, ln_b, tail_note = (
-        _ig_certificates(d, ln_x0, x0) if d.family == IG else _gg_certificates(d, ln_x0))
+        _ig_certificates(d, ln_x0) if d.family == IG else _gg_certificates(d, ln_x0))
     a_t, b_t, g_t = tail_bound_params(d)
     return CriterionReport(
         criterion="hazard_bound",
         status=HOLDS if math.isfinite(ln_a) and math.isfinite(ln_xc) else FAILS,
-        evidence={"factor_index": index, "factor": str(d), "ln_A": ln_a,
-                  "ln_x_start": ln_xc},
+        evidence={"factor_index": index, "factor": str(d), "ln_A": ln_a, "ln_x_start": ln_xc},
         notes=(hazard_note,),
     ), CriterionReport(
         criterion="tail_bound",
@@ -273,29 +277,24 @@ def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
     real-line factor off the half line, then the hazard and tail certificates
     of every factor, all from the effective x0.
 
-    The density of the chosen factor decreases beyond its closed-form
-    ``decreasing_from``; the check fails by name only when that point or the
-    effective x0 is not finite, and so then do the certificates.
+    Everything starts from ln x0, the largest of ln(x0), 0 and the chosen
+    density's closed-form ``log_decreasing_from``; the check fails by name
+    only when that start is not finite, and so then do the certificates.
     """
-    candidates = [(i, d) for i, d in enumerate(factors)
-                  if support == STIELTJES or d.support == HAMBURGER]
-    idx, chosen = min(candidates, key=lambda t: decreasing_from(t[1]))
-    dec_from = decreasing_from(chosen)
-    x0_eff = max(cfg.x0, 1.0, dec_from * (1.0 + 1e-12))
+    ln_dec, idx = min((log_decreasing_from(d), i) for i, d in enumerate(factors)
+                      if support == STIELTJES or d.support == HAMBURGER)
+    ln_x0 = max(math.log(max(cfg.x0, 1.0)), ln_dec)
     reports = [CriterionReport(
         criterion="density_decreasing",
-        status=HOLDS if math.isfinite(dec_from) and math.isfinite(x0_eff) else FAILS,
-        evidence={
-            "factor_index": idx,
-            "factor": str(chosen),
-            "decreasing_from": dec_from,
-            "x0_effective": x0_eff,
-        },
-        notes=("the density is nonincreasing beyond decreasing_from, in closed form; "
-               "one decreasing density is required and the verified factor is recorded",),
+        status=HOLDS if math.isfinite(ln_x0) else FAILS,
+        evidence={"factor_index": idx, "factor": str(factors[idx]),
+                  "ln_decreasing_from": ln_dec, "ln_x0_effective": ln_x0},
+        notes=("the density is nonincreasing beyond e^ln_decreasing_from, its closed-form "
+               "mode raised by a bound on its rounding; one decreasing density is required "
+               "and the verified factor is recorded",),
     )]
     for i, d in enumerate(factors):
-        reports.extend(_certify_envelope(d, i, x0_eff))
+        reports.extend(_certify_envelope(d, i, ln_x0))
     return reports
 
 
@@ -389,9 +388,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
     else:
         if not det:
             side = _indet_side_conditions(factors, support, cfg)
-        failed = [r.criterion + (f"[{r.evidence['factor_index']}]"
-                                 if "factor_index" in r.evidence else "")
-                  for r in side if not r.holds]
+        failed = [f"{r.criterion}[{r.evidence['factor_index']}]" for r in side if not r.holds]
         if failed:
             conclusion, rule = INCONCLUSIVE, "side conditions unverified"
             caveats.append(f"unverified: {', '.join(failed)}")

@@ -650,18 +650,21 @@ def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:
     return d.alpha, d.beta, d.gamma - d.beta
 
 
-def decreasing_from(d: DistributionSpec) -> float:
-    """Smallest x beyond which the density is nonincreasing (closed form);
-    inf when that point overflows."""
+def log_decreasing_from(d: DistributionSpec) -> float:
+    """ln of a point beyond which the density is nonincreasing (-inf if it is
+    on x > 0): the closed-form log of the mode (GG/DGG: alpha beta x^beta =
+    gamma - 1; IG: mu e^(-asinh r), r = 3 mu/(2 lam), the root of lam x^2 +
+    3 mu^2 x = lam mu^2, below lam/3 where r overflows) plus 4 eps times the sum
+    of the magnitudes of its logs (IG: and 1).  Rounding takes off at most 3 eps
+    times that, each log being exact to an ulp and gamma - 1 exact below 2^53."""
     if d.family == IG:
-        r = 1.5 * d.mu / d.lam
-        return d.mu * (math.sqrt(1.0 + r * r) - r)
+        ln_mu, r = math.log(d.mu), 1.5 * (d.mu / d.lam)
+        ln_mode = ln_mu - math.asinh(r) if r < math.inf else math.log(d.lam) - math.log(3.0)
+        return ln_mode + 4.0 * math.ulp(1.0) * (abs(ln_mu) + abs(ln_mode) + 1.0)
     if d.gamma <= 1.0:
-        return 0.0
-    try:
-        return ((d.gamma - 1.0) / (d.alpha * d.beta)) ** (1.0 / d.beta)
-    except OverflowError:
-        return math.inf
+        return -math.inf
+    logs = math.log(d.gamma - 1.0), math.log(d.alpha), math.log(d.beta)
+    return (logs[0] - logs[1] - logs[2] + 4.0 * math.ulp(1.0) * sum(map(abs, logs))) / d.beta
 
 
 # ---------------------------------------------------------------------------

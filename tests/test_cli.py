@@ -118,17 +118,17 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("pretty", [(), ("--pretty",)])
     def test_non_finite_evidence_is_strict_json(self, tmp_path, pretty):
-        # decreasing_from of this factor overflows: the report says "inf",
-        # which a strict parser accepts, where Infinity is not JSON
+        # this density decreases from 0 on: the report says "-inf" for the log
+        # of that point, which a strict parser accepts, where -Infinity is not JSON
         spec = write_spec(tmp_path, {"factors": [
-            {"family": "GG", "alpha": 2.6e-87, "beta": 0.0217, "gamma": 1.78}]})
+            {"family": "GG", "alpha": 1, "beta": "1/3", "gamma": 1}]})
         code, out = run_cli("analyze", spec, *pretty)
-        assert code == cli.EXIT_INCONCLUSIVE
+        assert code == cli.EXIT_MINDET
 
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
         doc = json.loads(out, parse_constant=refuse)
-        assert doc["side_conditions"][0]["evidence"]["decreasing_from"] == "inf"
+        assert doc["side_conditions"][0]["evidence"]["ln_decreasing_from"] == "-inf"
 
     def test_every_non_finite_float_is_named(self, capsys):
         args = cli.build_parser().parse_args(["analyze", "spec.json"])
@@ -202,20 +202,31 @@ class TestAnalyze:
         assert len(json.loads(out)["evidence"]["ladder"]) == 20
 
 
+INVALID_FLAGS = [(("--k-horizon", "0"), "k_horizon"), (("--k-horizon", "10"), "k_horizon"),
+                 (("--x0", "0"), "x0"), (("--x0", "-5"), "x0"), (("--x0", "nan"), "x0"),
+                 (("--x0", "inf"), "x0")]
+
+
 class TestConfig:
-    @pytest.mark.parametrize("flags,field", [
-        (("--k-horizon", "0"), "k_horizon"),
-        (("--k-horizon", "10"), "k_horizon"),
-        (("--x0", "0"), "x0"),
-        (("--x0", "-5"), "x0"),
-        (("--x0", "nan"), "x0"),
-        (("--x0", "inf"), "x0"),
-    ])
-    @pytest.mark.parametrize("command", [("analyze",), ("criterion", "growth")])
+    # analyze has no --k-horizon flag; the ids are those of the full grid
+    @pytest.mark.parametrize("command,flags,field", [
+        pytest.param(command, flags, field, id=f"command{i}-flags{j}-{field}")
+        for i, command in enumerate([("analyze",), ("criterion", "growth")])
+        for j, (flags, field) in enumerate(INVALID_FLAGS)
+        if command != ("analyze",) or field != "k_horizon"])
     def test_invalid_flag_named(self, exp_spec, capsys, command, flags, field):
         code, out = run_cli(*command, exp_spec, *flags)
         assert code == cli.EXIT_USAGE and out == ""
         assert f"{field}:" in capsys.readouterr().err
+
+    def test_analyze_takes_no_k_horizon_flag(self, exp_spec, capsys):
+        # no decision reads a moment horizon; the k_horizon override key stays,
+        # since criterion reads the same spec files
+        code, out = run_cli("analyze", exp_spec, "--k-horizon", "60")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --k-horizon" in capsys.readouterr().err
+        _, out = run_cli("analyze", "--help")
+        assert "--k-horizon" not in out and "--x0" in out
 
     @pytest.mark.parametrize("overrides,field", [
         ({"k_horizon": "abc"}, "k_horizon"),
@@ -236,10 +247,13 @@ class TestConfig:
         code, out = run_cli("analyze", spec)
         assert code == cli.EXIT_MDET
         doc = json.loads(out)
-        assert (doc["k_horizon"], doc["x0"]) == (40, 2.0)
-        code, out = run_cli("analyze", spec, "--k-horizon", "60", "--x0", "3.5")
-        doc = json.loads(out)
-        assert (doc["k_horizon"], doc["x0"]) == (60, 3.5)
+        assert doc["x0"] == 2.0 and "k_horizon" not in doc
+        _, out = run_cli("analyze", spec, "--x0", "3.5")
+        assert json.loads(out)["x0"] == 3.5
+        _, out = run_cli("criterion", "growth", spec)
+        assert json.loads(out)["evidence"]["k_max"] == 40
+        _, out = run_cli("criterion", "growth", spec, "--k-horizon", "60")
+        assert json.loads(out)["evidence"]["k_max"] == 60
 
 
     @pytest.mark.parametrize("overrides,field", [

@@ -133,9 +133,9 @@ class TestDecideSingle:
         assert f"ln B={ln_b:.6g}" in dec.explain(v)
 
     def test_overflowing_decreasing_point_named(self):
-        # the density rises up to x ~ 1e335, past the largest float: the start
-        # is not finite, so the checks fail by name instead of raising
-        d = dist.gg(1e-3, "1/50", 100)
+        # the density rises up to ln x ~ 7e308, a log past the largest float:
+        # the start is not finite, so the checks fail by name instead of raising
+        d = dist.gg(1, 1e-306, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v = dec.decide_single(d)
@@ -149,6 +149,9 @@ class TestDecideSingle:
         ([dist.gg(1, 1e300, 1e-300), dist.gg(1, "1/3", 1)], ("unverified: tail_bound[0]",)),
         # mu^2 underflows to 0; k = lam/(2 mu^2) is past the float range, its log is not
         ([dist.ig(1e-200, 1), IG11, EXP], ()),
+        # s = gamma/beta ~ 3e307: ln Gamma(s) overflows, so ln B is not finite
+        ([dist.gg(5.83945e-107, "1/3", 1.34337e206), dist.gg(2.02699e102, 1, 3.07446e307)],
+         ("unverified: tail_bound[1]",)),
     ])
     def test_extreme_parameters_named_not_raised(self, factors, caveats):
         with warnings.catch_warnings():
@@ -282,7 +285,7 @@ class TestDecideProduct:
         calls = []
         certify = dec._certify_envelope
         monkeypatch.setattr(dec, "_certify_envelope",
-                            lambda d, i, x0: calls.append(i) or certify(d, i, x0))
+                            lambda d, i, ln_x0: calls.append(i) or certify(d, i, ln_x0))
         v = dec.decide_product(P([IG11, dist.ig(2, 1), EXP]))
         assert v.conclusion == dec.M_INDET
         assert calls == [0, 1, 2]
@@ -315,7 +318,7 @@ class TestDecideProduct:
         # certificate starts later, where z = alpha x^beta reaches s, with
         # A = beta; the tail certificate holds from x0
         d = dist.gg(0.117, "1/3", 2.87)
-        hazard, tail = dec._certify_envelope(d, 0, 1.0)
+        hazard, tail = dec._certify_envelope(d, 0, 0.0)
         assert hazard.holds and tail.holds
         s = 2.87 / (1 / 3)
         assert hazard.evidence["ln_x_start"] == pytest.approx(
@@ -330,7 +333,7 @@ class TestDecideProduct:
         # both bounds hold against the tail kernels from their starts on
         for d in (dist.dgg(0.5, 2, 1), dist.gg(0.117, "1/3", 2.87), dist.gg(2, 3, "1/2"),
                   dist.ig(2, 3), dist.ig(0.05, 40)):
-            hazard, tail = dec._certify_envelope(d, 0, 2.0)
+            hazard, tail = dec._certify_envelope(d, 0, math.log(2.0))
             a, b, g = dist.tail_bound_params(d)
             assert (tail.evidence["alpha"], tail.evidence["beta"], tail.evidence["gamma"]) \
                 == (a, b, g)
@@ -351,12 +354,22 @@ class TestDecideProduct:
     def test_overflowing_tail_constant_has_finite_log(self):
         # lam/mu ~ 1828: B is past the float range, and the certificate keeps
         # its log instead of clamping it
-        _, rep = dec._certify_envelope(dist.ig(0.39, 713), 0, 1.0)
+        _, rep = dec._certify_envelope(dist.ig(0.39, 713), 0, 0.0)
         assert rep.holds
         k = 713 / (2 * 0.39 ** 2)
         expected = 0.5 * math.log(713 / (2 * math.pi)) + 713 / 0.39 - 713 / 2 - math.log(k + 1.5)
         assert rep.evidence["ln_B"] == pytest.approx(expected, rel=1e-14)
         assert rep.evidence["ln_B"] > math.log(sys.float_info.max)
+
+    def test_tail_constant_past_the_float_range_clamped(self):
+        # lam/mu = 1e310: ln B itself overflows; the largest finite float is a
+        # smaller B, still a lower bound, and the note says so
+        _, rep = dec._certify_envelope(dist.ig(1e-10, 1e300), 0, 0.0)
+        assert rep.holds
+        assert rep.evidence["ln_B"] == sys.float_info.max
+        assert rep.notes[0].endswith("the largest float, a smaller B, is given")
+        v = dec.decide_product(P([dist.ig(1e-10, 1e300), IG11, EXP]))
+        assert v.conclusion == dec.M_INDET
 
     def test_envelope_reports_pinned(self):
         # the certificates are closed forms: every report keeps its bytes
@@ -450,7 +463,7 @@ RULE_CASES = [
     ("single", [dist.dgg(1, 1, 1)], "Theorem 3"),
     ("single", [dist.dgg(1, "1/2", 1)], "Theorem 4"),
     ("single", [FLOAT_HALF], "boundary"),
-    ("single", [dist.gg(1e-3, "1/50", 100)], "side conditions unverified"),
+    ("single", [dist.gg(1, 1e-306, 2)], "side conditions unverified"),
     ("product", [EXP, EXP], "Theorem 5"),
     ("product", [IG11, dist.ig(2, 1), EXP], "Theorem 7"),
     ("product", [NORMAL, NORMAL], "Theorem 8"),
@@ -715,6 +728,96 @@ def test_ratio_route_m_det_is_decide_product_m_det(factors):
         assert (ratio.conclusion == dec.M_DET) == (main.conclusion == dec.M_DET), str(P(factors))
 
 
+@given(factors=st.lists(ANY_FACTORS, min_size=1, max_size=8))
+@example(factors=[dist.gg(7.38182e-251, 5.15937e-126, 5.15462e80)])
+@example(factors=[dist.gg(5.83945e-107, "1/3", 1.34337e206), dist.gg(2.02699e102, 1, 3.07446e307)])
+@example(factors=[dist.ig(1e10, 30), dist.gg(1, "1/3", 1)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_decide_product_is_total(factors):
+    """No exception or RuntimeWarning escapes ``decide_product`` for a valid
+    spec: a start or a constant past the float range fails its check by name."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = dec.decide_product(P(factors))
+    failed = [f"{r.criterion}[{r.evidence['factor_index']}]"
+              for r in v.side_conditions if not r.holds]
+    assert (v.rule == "side conditions unverified") == bool(failed)
+    if failed:
+        assert v.caveats[-1] == "unverified: " + ", ".join(failed)
+
+
+_STEEP = (_WIDE, st.one_of(_log_uniform(1e-6, 1e-3), _log_uniform(1e-3, 1.0)),
+          st.one_of(_log_uniform(1e-12, 1e3).map(lambda t: 1.0 + t), _SHAPES[2]))
+MODE_FACTORS = st.one_of(st.builds(dist.gg, *_STEEP), st.builds(dist.dgg, *_STEEP),
+                         st.builds(dist.ig, _WIDE, _WIDE))
+
+
+def _mp_rises_at(d, ln_x):
+    """Whether the density rises at x = e^ln_x, by its 50-digit log-derivative
+    sign: (gamma-1) - alpha beta x^beta > 0 for GG/DGG,
+    lam x^2 + 3 mu^2 x - lam mu^2 < 0 for IG."""
+    with mpmath.workdps(50):
+        x = mpmath.exp(mpmath.mpf(ln_x))
+        if d.family == dist.IG:
+            mu, lam = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+            return lam * x ** 2 + 3 * mu ** 2 * x - lam * mu ** 2 < 0
+        beta = mpmath.mpf(d.beta)
+        return mpmath.mpf(d.gamma) - 1 - d.alpha * beta * x ** beta > 0
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@given(factors=st.lists(MODE_FACTORS, min_size=1, max_size=3))
+@example(factors=[dist.ig(1e10, 30)])
+@example(factors=[dist.ig(1e10, 30), dist.gg(1, "1/3", 2)])
+@example(factors=[dist.gg(1e-3, 1e-6, 1.0 + 1e-12), dist.dgg(1e300, 1e-3, 1e3)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_certified_start_is_past_the_mode(factors):
+    """The chosen density is nonincreasing from ln_decreasing_from on, and so
+    from the effective start: no rounding of the closed-form mode puts the
+    start below the 50-digit mode, for beta down to 1e-6 and scales over the
+    whole float range.  Each factor is taken three times, so that the
+    product is above its threshold."""
+    product = factors * 3
+    rep = dec.decide_product(P(product)).side_conditions[0]
+    assert rep.criterion == "density_decreasing" and rep.holds
+    chosen = product[rep.evidence["factor_index"]]
+    ln_dec, ln_x0 = rep.evidence["ln_decreasing_from"], rep.evidence["ln_x0_effective"]
+    assert ln_dec == dist.log_decreasing_from(chosen) and ln_x0 == max(0.0, ln_dec)
+    assert not _mp_rises_at(chosen, ln_dec) and not _mp_rises_at(chosen, ln_x0), str(chosen)
+
+
+_LN_FLOAT_MIN, _LN_FLOAT_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
+def _rescaled(d, t):
+    """d scaled by e^t: GG/DGG alpha -> alpha e^(-beta t), IG (mu, lam) ->
+    (mu e^t, lam e^t); None where a parameter leaves the float range."""
+    logs = (dict(mu=math.log(d.mu) + t, lam=math.log(d.lam) + t) if d.family == dist.IG
+            else dict(alpha=math.log(d.alpha) - d.beta * t))
+    if not all(_LN_FLOAT_MIN < v < _LN_FLOAT_MAX for v in logs.values()):
+        return None
+    return dataclasses.replace(d, **{k: math.exp(v) for k, v in logs.items()})
+
+
+def test_scale_relation():
+    """Moment determinacy does not depend on scale: rescaling every factor of
+    a fuzz-range product by e^t, t uniform in [-600, 600], keeps the verdict
+    and the rule code."""
+    rng = random.Random(20261)
+    checked = 0
+    for _ in range(1000):
+        factors = [_fuzz_factor(rng)[0] for _ in range(rng.randint(1, 4))]
+        base = dec.decide_product(P(factors))
+        for _ in range(2):
+            scaled = [_rescaled(d, rng.uniform(-600.0, 600.0)) for d in factors]
+            if None in scaled:
+                continue
+            v = dec.decide_product(P(scaled))
+            assert (v.conclusion, v.rule) == (base.conclusion, base.rule), str(P(scaled))
+            checked += 1
+    assert checked >= 1000
+
+
 EXACT_FACTORS = st.one_of(
     *(st.builds(make, st.just(1), st.fractions(Fraction(1, 12), 30, max_denominator=12),
                 st.just(1)) for make in (dist.gg, dist.dgg)),
@@ -750,7 +853,7 @@ def test_certificates_hold_against_mpmath(d, ln_x0, u):
     """Both certificates of a factor are finite, and at x = start e^u the
     50-digit tail and hazard satisfy F-bar(x) >= B x^g e^(-a x^b) and
     x h(x) >= A, up to the rounding of the closed forms."""
-    hazard, tail = dec._certify_envelope(d, 0, math.exp(ln_x0))
+    hazard, tail = dec._certify_envelope(d, 0, ln_x0)
     assert hazard.holds and tail.holds
     ln_a, ln_b = hazard.evidence["ln_A"], tail.evidence["ln_B"]
     starts = hazard.evidence["ln_x_start"], tail.evidence["ln_x_start"]

@@ -617,19 +617,21 @@ class TestSamplerConsistency:
 
 class TestDecreasingFrom:
     def test_monotone_families(self):
-        assert dist.decreasing_from(dist.exponential()) == 0.0
-        assert dist.decreasing_from(dist.gg(1, 1, 0.5)) == 0.0
+        assert dist.log_decreasing_from(dist.exponential()) == -math.inf
+        assert dist.log_decreasing_from(dist.gg(1, 1, 0.5)) == -math.inf
 
     def test_unimodal_gg(self):
         d = dist.gg(1, 2, 3)
-        x0 = dist.decreasing_from(d)
-        assert x0 == pytest.approx(1.0, rel=1e-12)  # ((3-1)/(1*2))^(1/2)
+        ln_x0 = dist.log_decreasing_from(d)
+        assert ln_x0 == pytest.approx(0.0, abs=1e-14)  # ((3-1)/(1*2))^(1/2) = 1
+        assert ln_x0 >= 0.0
+        x0 = math.exp(ln_x0)
         lf = dist.log_density(d, np.array([x0 * 1.01, x0 * 1.2, x0 * 3]))
         assert np.all(np.diff(lf) < 0)
 
     def test_ig_mode(self):
         d = dist.ig(1, 1)
-        x0 = dist.decreasing_from(d)
+        x0 = math.exp(dist.log_decreasing_from(d))
         expected = math.sqrt(1 + 2.25) - 1.5
         assert x0 == pytest.approx(expected, rel=1e-12)
         lf = dist.log_density(d, np.array([x0 * 1.001, x0 * 1.5, x0 * 5]))
