@@ -49,7 +49,6 @@ from .criteria import (
     ratio_rate,
 )
 from .decision import (
-    DecisionConfig,
     M_DET,
     M_INDET,
     Verdict,

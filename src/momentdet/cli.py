@@ -80,8 +80,6 @@ def _int_in(lo: int, hi: float = math.inf):
 SETTINGS = {
     "k_horizon": (criteria.DEFAULT_K_HORIZON, _int_in(criteria.MIN_K_HORIZON),
                   f"an integer >= {criteria.MIN_K_HORIZON}"),
-    "x0": (decision.DEFAULT_CONFIG.x0, lambda v: _finite(v) and v > 0,
-           "a finite positive number"),
     "seed": (0, _int_in(0), "a nonnegative integer"),
     "mc": (10 ** 6, _int_in(verify_mod.MC_MIN_SAMPLES),
            f"an integer >= {verify_mod.MC_MIN_SAMPLES}"),
@@ -212,12 +210,11 @@ def _emit(args, inputs: dict, body: dict) -> None:
 
 def cmd_analyze(args) -> int:
     product, overrides = load_spec(args.spec)
-    s = _settings(args, overrides)
-    cfg = decision.DecisionConfig(x0=float(s["x0"]))
-    verdict = decision.decide_product(product, cfg)
-    report = {"x0": cfg.x0, **verdict.to_dict()}
+    _settings(args, overrides)   # no setting decides; an invalid one is still rejected
+    verdict = decision.decide_product(product)
+    report = verdict.to_dict()
     if args.ratio:
-        report["ratio_route"] = decision.ratio_route(product, cfg).to_dict()
+        report["ratio_route"] = decision.ratio_route(product).to_dict()
     if args.pretty:
         report["explanation"] = decision.explain(verdict).split("\n")
     _emit(args, _echo(product), report)
@@ -240,11 +237,11 @@ def _criterion_report(args, product: Optional[ProductSpec], s: dict):
         raise SpecError(f"the {name} criterion needs a single-factor spec "
                         "(no closed-form product density)")
     elif name == "lin":
-        return criteria.condition_L_check(product.factors[0], x0=s["x0"])
+        return criteria.condition_L_check(product.factors[0])
     else:
         d = product.factors[0]
         log_dens, support = (lambda x: log_density(d, x)), d.support
-    return criteria.krein_quantity(log_dens, support, schedule=s["schedule"], x0=s["x0"])
+    return criteria.krein_quantity(log_dens, support, schedule=s["schedule"])
 
 
 def cmd_criterion(args) -> int:
@@ -349,10 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--kmax", type=int, default=None, help="highest moment order checked")
     for p, fn in ((pa, cmd_analyze), (pc, cmd_criterion), (pv, cmd_verify)):
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
-        if p is not pv:
-            p.add_argument("--x0", type=float, default=None,
-                           help="tail threshold for side-condition verification "
-                                f"(default {SETTINGS['x0'][0]:g})")
         p.set_defaults(fn=fn)
     return ap
 

@@ -60,14 +60,6 @@ BOUNDARY_BAND = 0.005
 
 
 @dataclass(frozen=True)
-class DecisionConfig:
-    x0: float = 1.0
-
-
-DEFAULT_CONFIG = DecisionConfig()
-
-
-@dataclass(frozen=True)
 class Verdict:
     conclusion: str
     rule: str
@@ -271,19 +263,20 @@ def _certify_envelope(d: DistributionSpec, index: int,
     )
 
 
-def _indet_side_conditions(factors: Sequence[DistributionSpec], support: str,
-                           cfg: DecisionConfig) -> list[CriterionReport]:
+def _indet_side_conditions(factors: Sequence[DistributionSpec],
+                           support: str) -> list[CriterionReport]:
     """Theorems 2, 4, 7, 10 and 11: one density eventually decreasing, of a
     real-line factor off the half line, then the hazard and tail certificates
-    of every factor, all from the effective x0.
+    of every factor, all from one start x0.
 
-    Everything starts from ln x0, the largest of ln(x0), 0 and the chosen
-    density's closed-form ``log_decreasing_from``; the check fails by name
-    only when that start is not finite, and so then do the certificates.
+    The theorems only ask for some x0; it is worked out, not chosen: ln x0 is
+    the larger of 0 and the chosen density's closed-form
+    ``log_decreasing_from``.  The check fails by name only when that start is
+    not finite, and so then do the certificates.
     """
     ln_dec, idx = min((log_decreasing_from(d), i) for i, d in enumerate(factors)
                       if support == STIELTJES or d.support == HAMBURGER)
-    ln_x0 = max(math.log(max(cfg.x0, 1.0)), ln_dec)
+    ln_x0 = max(0.0, ln_dec)
     reports = [CriterionReport(
         criterion="density_decreasing",
         status=HOLDS if math.isfinite(ln_x0) else FAILS,
@@ -346,7 +339,7 @@ def _certify_rate(d: DistributionSpec, index: int, step: int, rate: float) -> Cr
 # the decision pipeline
 
 
-def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
+def _decide(p: ProductSpec, route: str) -> Verdict:
     """Compare the exponent sum with the threshold, then cite the route's
     rule from RULES: the M-det rule at or below it, the M-indet rule above it
     once the side conditions hold.  A product of one takes the SINGLE row."""
@@ -387,7 +380,7 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
         caveats.append("rate sum exceeds 2; this route cannot prove indeterminacy")
     else:
         if not det:
-            side = _indet_side_conditions(factors, support, cfg)
+            side = _indet_side_conditions(factors, support)
         failed = [f"{r.criterion}[{r.evidence['factor_index']}]" for r in side if not r.holds]
         if failed:
             conclusion, rule = INCONCLUSIVE, "side conditions unverified"
@@ -408,12 +401,12 @@ def _decide(p: ProductSpec, route: str, cfg: DecisionConfig) -> Verdict:
     )
 
 
-def decide_single(d: DistributionSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
+def decide_single(d: DistributionSpec) -> Verdict:
     """Verdict for one factor, decided as a product of one."""
-    return decide_product(ProductSpec([d]), cfg)
+    return decide_product(ProductSpec([d]))
 
 
-def decide_product(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
+def decide_product(p: ProductSpec) -> Verdict:
     """Verdict for a product of independent factors.
 
     Exponent sum at or below the support-class threshold proves M-det; above
@@ -421,10 +414,10 @@ def decide_product(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verd
     prove M-indet (Theorems 2 and 4 for a single factor).  Anything
     unverified stays inconclusive.
     """
-    return _decide(p, PRODUCT, cfg)
+    return _decide(p, PRODUCT)
 
 
-def ratio_route(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
+def ratio_route(p: ProductSpec) -> Verdict:
     """Alternative determinacy route via growth rates of successive moments.
 
     The closed-form rates decide: 1/beta on the half line, 2/beta in the
@@ -432,7 +425,7 @@ def ratio_route(p: ProductSpec, cfg: DecisionConfig = DEFAULT_CONFIG) -> Verdict
     proves M-det once every factor's two-sided ratio certificate is finite;
     this route can never prove indeterminacy.
     """
-    return _decide(p, RATIO, cfg)
+    return _decide(p, RATIO)
 
 
 # ---------------------------------------------------------------------------

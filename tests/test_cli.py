@@ -11,7 +11,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from momentdet import cli
+from momentdet import cli, criteria
+from momentdet import distributions as dist
 
 
 def run_cli(*argv):
@@ -208,7 +209,9 @@ INVALID_FLAGS = [(("--k-horizon", "0"), "k_horizon"), (("--k-horizon", "10"), "k
 
 
 class TestConfig:
-    # analyze has no --k-horizon flag; the ids are those of the full grid
+    # analyze has no --k-horizon flag; the ids are those of the full grid.  No
+    # command takes --x0: the start of the side conditions is worked out, so
+    # the flag is unrecognized whatever its value
     @pytest.mark.parametrize("command,flags,field", [
         pytest.param(command, flags, field, id=f"command{i}-flags{j}-{field}")
         for i, command in enumerate([("analyze",), ("criterion", "growth")])
@@ -217,7 +220,8 @@ class TestConfig:
     def test_invalid_flag_named(self, exp_spec, capsys, command, flags, field):
         code, out = run_cli(*command, exp_spec, *flags)
         assert code == cli.EXIT_USAGE and out == ""
-        assert f"{field}:" in capsys.readouterr().err
+        named = "unrecognized arguments: --x0" if field == "x0" else f"{field}:"
+        assert named in capsys.readouterr().err
 
     def test_analyze_takes_no_k_horizon_flag(self, exp_spec, capsys):
         # no decision reads a moment horizon; the k_horizon override key stays,
@@ -225,8 +229,11 @@ class TestConfig:
         code, out = run_cli("analyze", exp_spec, "--k-horizon", "60")
         assert code == cli.EXIT_USAGE and out == ""
         assert "unrecognized arguments: --k-horizon" in capsys.readouterr().err
+        for command in (("analyze",), ("criterion", "growth")):
+            _, out = run_cli(*command, "--help")
+            assert "--x0" not in out
         _, out = run_cli("analyze", "--help")
-        assert "--k-horizon" not in out and "--x0" in out
+        assert "--k-horizon" not in out
 
     @pytest.mark.parametrize("overrides,field", [
         ({"k_horizon": "abc"}, "k_horizon"),
@@ -236,20 +243,20 @@ class TestConfig:
         ({"x0": -1}, "x0"),
     ])
     def test_invalid_override_named(self, tmp_path, capsys, overrides, field):
+        # "x0" is no setting: any value of it is an unknown key
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}], "overrides": overrides})
         code, _ = run_cli("analyze", spec)
         assert code == cli.EXIT_USAGE
-        assert f"{field}:" in capsys.readouterr().err
+        named = "unknown key(s) ['x0']" if field == "x0" else f"{field}:"
+        assert named in capsys.readouterr().err
 
     def test_valid_values_echoed(self, tmp_path):
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}],
-                                     "overrides": {"k_horizon": 40, "x0": 2}})
+                                     "overrides": {"k_horizon": 40}})
         code, out = run_cli("analyze", spec)
         assert code == cli.EXIT_MDET
         doc = json.loads(out)
-        assert doc["x0"] == 2.0 and "k_horizon" not in doc
-        _, out = run_cli("analyze", spec, "--x0", "3.5")
-        assert json.loads(out)["x0"] == 3.5
+        assert "k_horizon" not in doc and "x0" not in doc
         _, out = run_cli("criterion", "growth", spec)
         assert json.loads(out)["evidence"]["k_max"] == 40
         _, out = run_cli("criterion", "growth", spec, "--k-horizon", "60")
@@ -272,7 +279,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", [("verify",), ("criterion", "krein")])
     def test_invalid_setting_named_by_every_command(self, tmp_path, capsys, command,
                                                      overrides, field):
-        # the spec is one document: every command checks all six settings
+        # the spec is one document: every command checks all five settings
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}], "overrides": overrides})
         code, out = run_cli(*command, spec)
         assert code == cli.EXIT_USAGE and out == ""
@@ -342,12 +349,14 @@ class TestCriterion:
         assert json.loads(out)["status"] == "holds"
 
     def test_lin_family_overflowing_grid_holds(self, tmp_path):
-        # L = 1 + 5 x^5 overflows on the grid from 1e100; the status is closed form
+        # the command starts at 1; from 1e100, a start only the library takes,
+        # L = 1 + 5 x^5 overflows on the grid and the status is closed form
         spec = write_spec(tmp_path, {"factors": [
             {"family": "GG", "alpha": 1, "beta": 5, "gamma": 1}]})
-        code, out = run_cli("criterion", "lin", spec, "--x0", "1e100")
-        assert code == cli.EXIT_HOLDS
-        assert json.loads(out)["status"] == "holds"
+        code, out = run_cli("criterion", "lin", spec)
+        assert code == cli.EXIT_HOLDS and json.loads(out)["status"] == "holds"
+        rep = criteria.condition_L_check(dist.gg(1, 5, 1), x0=1e100)
+        assert rep.status == criteria.HOLDS
 
     def test_krein_on_normal_fails_exit(self, tmp_path):
         spec = write_spec(tmp_path, {"factors": [{"family": "normal"}]})

@@ -31,32 +31,40 @@ IG11 = dist.ig(1, 1)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-# name -> (factors, x0) of decisions above the threshold: indeterminate, or
+# name -> factors of decisions above the threshold: indeterminate, or
 # inconclusive with a side condition failing.  fixtures/envelope_reports.tsv
 # holds json.dumps(decide_product(...).to_dict()) for each, with the
 # closed-form hazard and tail certificates.
 PINNED_ENVELOPES = {
-    "GG(1,1/3,1)": ([dist.gg(1, "1/3", 1)], 1.0),
-    "DGG(1,1/25,1)": ([dist.dgg(1, "1/25", 1)], 1.0),
-    "GG(0.117,1/3,2.87)": ([dist.gg(0.117, "1/3", 2.87)], 1.0),
-    "IG(1,1)*IG(2,1)*Exp": ([IG11, dist.ig(2, 1), EXP], 1.0),
-    "IG(0.13,6.6)*IG(7.5,0.047)*GG(2,1/2,3)": (
-        [dist.ig(0.13, 6.6), dist.ig(7.5, 0.047), dist.gg(2, "1/2", 3)], 1.0),
-    "Exp*Normal": ([EXP, NORMAL], 1.0),
-    "IG(1,1)*Normal": ([IG11, NORMAL], 1.0),
-    "Normal^3": ([NORMAL, NORMAL, NORMAL], 1.0),
-    "DGG(1,1/2,1)*DGG(2,4,3)": ([dist.dgg(1, "1/2", 1), dist.dgg(2, 4, 3)], 1.0),
-    "DGG(0.7,0.45,2.2)*GG(0.31,0.3123457,1.7)*IG(0.13,6.6)": (
-        [dist.dgg(0.7, 0.45, 2.2), dist.gg(0.31, 0.3123457, 1.7), dist.ig(0.13, 6.6)], 1.0),
-    "GG(1,10,1)*GG(1,1/3,1)": ([dist.gg(1, 10, 1), dist.gg(1, "1/3", 1)], 1.0),
-    "GG(1e-3,1/50,100)*Exp": ([dist.gg(1e-3, "1/50", 100), EXP], 1.0),
-    "GG(1e-3,1/50,100)": ([dist.gg(1e-3, "1/50", 100)], 1.0),
-    "GG(1,1/20,9)": ([dist.gg(1, "1/20", 9)], 1.0),
-    "IG(0.39,713)*GG(1,1/2,1)": ([dist.ig(0.39, 713), dist.gg(1, "1/2", 1)], 1.0),
+    "GG(1,1/3,1)": [dist.gg(1, "1/3", 1)],
+    "DGG(1,1/25,1)": [dist.dgg(1, "1/25", 1)],
+    "GG(0.117,1/3,2.87)": [dist.gg(0.117, "1/3", 2.87)],
+    "IG(1,1)*IG(2,1)*Exp": [IG11, dist.ig(2, 1), EXP],
+    "IG(0.13,6.6)*IG(7.5,0.047)*GG(2,1/2,3)":
+        [dist.ig(0.13, 6.6), dist.ig(7.5, 0.047), dist.gg(2, "1/2", 3)],
+    "Exp*Normal": [EXP, NORMAL],
+    "IG(1,1)*Normal": [IG11, NORMAL],
+    "Normal^3": [NORMAL, NORMAL, NORMAL],
+    "DGG(1,1/2,1)*DGG(2,4,3)": [dist.dgg(1, "1/2", 1), dist.dgg(2, 4, 3)],
+    "DGG(0.7,0.45,2.2)*GG(0.31,0.3123457,1.7)*IG(0.13,6.6)":
+        [dist.dgg(0.7, 0.45, 2.2), dist.gg(0.31, 0.3123457, 1.7), dist.ig(0.13, 6.6)],
+    "GG(1,10,1)*GG(1,1/3,1)": [dist.gg(1, 10, 1), dist.gg(1, "1/3", 1)],
+    "GG(1e-3,1/50,100)*Exp": [dist.gg(1e-3, "1/50", 100), EXP],
+    "GG(1e-3,1/50,100)": [dist.gg(1e-3, "1/50", 100)],
+    "GG(1,1/20,9)": [dist.gg(1, "1/20", 9)],
+    "IG(0.39,713)*GG(1,1/2,1)": [dist.ig(0.39, 713), dist.gg(1, "1/2", 1)],
+}
+# name -> (factors, x0) of certificates from a far start: the tsv holds the
+# json.dumps of the list of every factor's hazard and tail reports from x0
+PINNED_FAR_STARTS = {
     "IG(1,1)^2*Exp x0=1e7": ([IG11, IG11, EXP], 1e7),
     "Exp*Normal x0=1e306": ([EXP, NORMAL], 1e306),
     "GG(1,1/3,1) x0=1e300": ([dist.gg(1, "1/3", 1)], 1e300),
 }
+
+
+def far_start_reports(factors, x0):
+    return [r for i, d in enumerate(factors) for r in dec._certify_envelope(d, i, math.log(x0))]
 
 
 def load_pinned_envelopes():
@@ -164,13 +172,13 @@ class TestDecideSingle:
     @pytest.mark.parametrize("factors", [[dist.gg(1, "1/3", 1)], [EXP, NORMAL],
                                          [IG11, dist.ig(2, 1), EXP]])
     def test_huge_x0_total(self, factors, x0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v = dec.decide_product(P(factors), dec.DecisionConfig(x0=x0))
         # every certificate is taken in log space, so a start near the top of
         # the float range still gives finite constants
-        assert v.conclusion == dec.M_INDET
-        assert all(math.isfinite(r.evidence["ln_x_start"]) for r in v.side_conditions[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = far_start_reports(factors, x0)
+        assert len(reports) == 2 * len(factors) and all(r.holds for r in reports)
+        assert all(math.isfinite(r.evidence["ln_x_start"]) for r in reports)
 
     def test_boundary_stieltjes_det(self):
         # a = 2 exactly is still determinate
@@ -374,18 +382,20 @@ class TestDecideProduct:
     def test_envelope_reports_pinned(self):
         # the certificates are closed forms: every report keeps its bytes
         pinned = load_pinned_envelopes()
-        assert sorted(pinned) == sorted(PINNED_ENVELOPES)
-        for name, (factors, x0) in PINNED_ENVELOPES.items():
-            v = dec.decide_product(P(factors), dec.DecisionConfig(x0=x0))
+        assert sorted(pinned) == sorted([*PINNED_ENVELOPES, *PINNED_FAR_STARTS])
+        for name, factors in PINNED_ENVELOPES.items():
+            v = dec.decide_product(P(factors))
             assert json.dumps(v.to_dict()) == pinned[name], name
+        for name, (factors, x0) in PINNED_FAR_STARTS.items():
+            reports = [r.to_dict() for r in far_start_reports(factors, x0)]
+            assert json.dumps(reports) == pinned[name], name
 
     def test_far_start_ig_product_indet(self):
         # from x0 = 1e7 a sampled IG tail used to cancel completely; the
         # certificates take no tail value and hold from that start
-        v = dec.decide_product(P([IG11, IG11, EXP]), dec.DecisionConfig(x0=1e7))
-        assert v.conclusion == dec.M_INDET
-        assert v.rule == "Theorem 7; Corollary 2"
-        assert {r.evidence["ln_x_start"] for r in v.side_conditions[1:]} == {math.log(1e7)}
+        reports = far_start_reports([IG11, IG11, EXP], 1e7)
+        assert all(r.holds for r in reports)
+        assert {r.evidence["ln_x_start"] for r in reports} == {math.log(1e7)}
 
 
 class TestRatioRoute:
