@@ -343,8 +343,8 @@ class TestDecideProduct:
                   dist.ig(2, 3), dist.ig(0.05, 40)):
             hazard, tail = dec._certify_envelope(d, 0, math.log(2.0))
             a, b, g = dist.tail_bound_params(d)
-            assert (tail.evidence["alpha"], tail.evidence["beta"], tail.evidence["gamma"]) \
-                == (a, b, g)
+            assert (tail.evidence["beta"], tail.evidence["gamma"]) == (b, g)
+            assert math.exp(tail.evidence["ln_alpha"]) == pytest.approx(a, rel=1e-14)
             for u in (0.0, 1.0, 3.0, 6.0):
                 x = math.exp(tail.evidence["ln_x_start"] + u)
                 assert dist.log_tail(d, x) >= tail.evidence["ln_B"] + g * math.log(x) - a * x ** b
@@ -378,6 +378,20 @@ class TestDecideProduct:
         assert rep.notes[0].endswith("the largest float, a smaller B, is given")
         v = dec.decide_product(P([dist.ig(1e-10, 1e300), IG11, EXP]))
         assert v.conclusion == dec.M_INDET
+
+    @pytest.mark.parametrize("factor,ln_rate", [
+        # lam/(2 mu^2) = e^-2073 underflows to 0.0, and e^1380 overflows
+        (dist.ig(1e300, 1e-300), math.log(1e-300) - math.log(2.0) - 2 * math.log(1e300)),
+        (dist.ig(1e-10, 1e300), math.log(1e300) - math.log(2.0) - 2 * math.log(1e-10)),
+        (dist.gg(1e-300, "1/3", 1), math.log(1e-300)),
+    ])
+    def test_tail_rate_reported_as_its_log(self, factor, ln_rate):
+        v = dec.decide_product(P([factor, IG11, EXP]))
+        assert v.conclusion == dec.M_INDET
+        tail = v.side_conditions[2]
+        assert tail.criterion == "tail_bound" and tail.evidence["factor_index"] == 0
+        assert tail.evidence["ln_alpha"] == pytest.approx(ln_rate, rel=1e-15)
+        assert "alpha" not in tail.evidence
 
     def test_envelope_reports_pinned(self):
         # the certificates are closed forms: every report keeps its bytes
@@ -628,12 +642,14 @@ FUZZ_FACTORS = st.one_of(st.builds(dist.gg, *_SHAPES), st.builds(dist.dgg, *_SHA
                          st.builds(dist.ig, _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e3)))
 
 
-def _mp_tail_ratio_and_hazard(d, ln_x):
+def _mp_tail_ratio_and_hazard(d, ln_x, ln_alpha):
     """ln(F-bar(x) / (x^g e^(-a x^b))) with the exact envelope (a, b, g) that
     tail_bound_params rounds, and ln(x h(x)), at x = e^ln_x.  Computed with
-    50 digits beyond the size of a x^b, which cancels in both."""
-    a, b, _ = dist.tail_bound_params(d)
-    size = max(1.0, math.log(a) + b * ln_x, math.log(d.lam / d.mu) if d.family == dist.IG else 0)
+    50 digits beyond the size of a x^b = e^(ln_alpha + b ln x), which cancels
+    in both."""
+    _, b, _ = dist.tail_bound_params(d)
+    size = max(1.0, ln_alpha + b * ln_x,
+               math.log(d.lam) - math.log(d.mu) if d.family == dist.IG else 0)
     with mpmath.workdps(50 + int(size / math.log(10))):
         ln_x = mpmath.mpf(ln_x)
         x = mpmath.exp(ln_x)
@@ -868,9 +884,10 @@ def test_certificates_hold_against_mpmath(d, ln_x0, u):
     ln_a, ln_b = hazard.evidence["ln_A"], tail.evidence["ln_B"]
     starts = hazard.evidence["ln_x_start"], tail.evidence["ln_x_start"]
     assert all(math.isfinite(v) for v in (ln_a, ln_b, *starts))
-    ln_ratio, _ = _mp_tail_ratio_and_hazard(d, starts[1] + u)
+    ln_alpha = tail.evidence["ln_alpha"]
+    ln_ratio, _ = _mp_tail_ratio_and_hazard(d, starts[1] + u, ln_alpha)
     assert ln_ratio >= ln_b - 1e-12 * (1 + abs(ln_b)), str(d)
-    _, ln_xh = _mp_tail_ratio_and_hazard(d, starts[0] + u)
+    _, ln_xh = _mp_tail_ratio_and_hazard(d, starts[0] + u, ln_alpha)
     assert ln_xh >= ln_a - 1e-12 * (1 + abs(ln_a)), str(d)
 
 
