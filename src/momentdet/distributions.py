@@ -465,10 +465,11 @@ def _gg_tails(d: DistributionSpec, x: np.ndarray) -> tuple:
     return lq, scaled, density, density - scaled
 
 
-def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """ln(M(a) - M(a + h)) for a > 0 (also a = inf, with ln a finite) and
-    h > 0, elementwise, with M(t) = Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2)
-    the normal Mills ratio.
+def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray,
+                          ln_h: np.ndarray) -> np.ndarray:
+    """ln(M(a) - M(a + h)) for a > -h and h > 0, elementwise, given also
+    ln a and ln h, which stay finite where a or h overflow, with M(t) =
+    Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2) the normal Mills ratio.
 
     Nothing is subtracted that cancels when h is small against a, and nothing
     under- or overflows where the difference or a are past the float range:
@@ -485,8 +486,8 @@ def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray) -> np.
     out = np.empty(a.shape)
     far = a >= MILLS_SERIES_FROM
     if far.any():
-        ln_h, ln_af = np.log(h[far]), ln_a[far]
-        ratio = np.exp(ln_h - ln_af)                  # h/a
+        ln_hf, ln_af = ln_h[far], ln_a[far]
+        ratio = np.exp(ln_hf - ln_af)                 # h/a
         q = 1.0 / (1.0 + ratio)
         inv_a2 = np.exp(-2.0 * ln_af)
         power = np.ones(q.shape)                      # a^-2m
@@ -498,7 +499,7 @@ def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray) -> np.
             q_n = q_n * (q * q)
             coef *= -(2 * m + 1)
             power = power * inv_a2
-        out[far] = ln_h - 2.0 * ln_af - np.log1p(ratio) + np.log(total)
+        out[far] = ln_hf - 2.0 * ln_af - np.log1p(ratio) + np.log(total)
     a, h = a[~far], h[~far]
     mills_a = np.sqrt(np.pi / 2.0) * special.erfcx(a / math.sqrt(2.0))
     diff = mills_a - np.sqrt(np.pi / 2.0) * special.erfcx((a + h) / math.sqrt(2.0))
@@ -519,33 +520,47 @@ def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray) -> np.
 
 def _ig_tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     # the rows of _tails for IG.  1 - F = Phi(-a) - e^(2 lam/mu) Phi(-b)
-    # with a, b = sqrt(lam/x) (x/mu -+ 1).  For a > 0 this is phi(a) D with D
-    # = M(a) - M(b), exactly, since b^2 - a^2 = 4 lam/mu; the Mills-ratio
-    # difference keeps its precision far into the tail, and as f =
-    # sqrt(lam/x^3) phi(a), ln h = (ln lam - 3 ln x)/2 - ln D needs no
-    # subtraction.  The scaled forms use -a^2/2 + lam x/(2 mu^2) = lam/mu -
-    # lam/(2x).  For a <= 0 the first term dominates and log_ndtr serves.
+    # with a, b = sqrt(lam/x) (x/mu -+ 1), and e^(2 lam/mu) Phi(-b) = phi(a) M(b)
+    # exactly, since b^2 - a^2 = 4 lam/mu, so e^(2 lam/mu) is never formed.
+    # Where a > 0, or where b - a = 2 sqrt(lam/x) is at most MILLS_TAYLOR_STEP
+    # (so that a > -MILLS_TAYLOR_STEP), the tail is phi(a) D with D = M(a) -
+    # M(b): the Mills-ratio difference keeps its precision far into the tail
+    # and where the two terms nearly cancel, and as f = sqrt(lam/x^3) phi(a),
+    # ln h = (ln lam - 3 ln x)/2 - ln D needs no subtraction.  The scaled forms
+    # use -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x).  Elsewhere a <= 0, and
+    # log_ndtr(-a) less phi(a) M(b), a bounded fraction of it, serves.
     rt = math.sqrt(d.lam) / np.sqrt(x)                # sqrt(lam/x), also where lam/x underflows
-    a_mu = rt * (x - d.mu)                            # a mu, finite at every finite x
+    a_mu = rt * (x - d.mu)                            # a mu, finite unless rt overflows (x < 1e-308)
+    a_mu[x == d.mu] = 0.0                             # a = 0 there, not inf * 0
     a = a_mu / d.mu                                   # inf only where a itself overflows
     half = 0.5 * (math.log(d.lam) - 3.0 * np.log(x))  # ln sqrt(lam/x^3)
     shift = d.lam / d.mu - d.lam / (2.0 * x)
     out = np.empty((4, x.size))
     out[2] = half - 0.5 * LOG_2PI + shift
-    right = a > 0.0
-    ar = a[right]
-    ln_d = _log_mills_difference(ar, np.log(a_mu[right]) - math.log(d.mu), 2.0 * rt[right])
-    out[0, right] = ln_d - 0.5 * LOG_2PI - 0.5 * ar * ar
-    out[1, right] = ln_d - 0.5 * LOG_2PI + shift[right]
-    out[3, right] = half[right] - ln_d
-    left = ~right
+    mills = (a > 0.0) | (rt <= 0.5 * MILLS_TAYLOR_STEP)
+    am, xm, hm = a[mills], x[mills], 2.0 * rt[mills]
+    # ln a and ln h are read from MILLS_SERIES_FROM on only, where a > 0;
+    # where rt overflows they come from ln rt = (ln lam - ln x)/2
+    ln_a, ln_h = np.log(np.abs(a_mu[mills])), np.log(hm)
+    over = hm == math.inf
+    if over.any():
+        ln_rt = 0.5 * (math.log(d.lam) - np.log(xm[over]))
+        ln_a[over] = ln_rt + np.log(np.abs(xm[over] - d.mu))
+        ln_h[over] = math.log(2.0) + ln_rt
+    ln_d = _log_mills_difference(am, ln_a - math.log(d.mu), hm, ln_h)
+    out[0, mills] = ln_d - 0.5 * LOG_2PI - 0.5 * am * am
+    out[1, mills] = ln_d - 0.5 * LOG_2PI + shift[mills]
+    out[3, mills] = half[mills] - ln_d
+    left = ~mills
     if left.any():
-        al = a[left]
+        al, bl = a[left], rt[left] * (x[left] / d.mu + 1.0)
         t1 = special.log_ndtr(-al)
-        lt = t1 + np.log1p(-np.exp(2.0 * d.lam / d.mu + special.log_ndtr(-al - 2.0 * rt[left]) - t1))
+        ln_phi = -0.5 * LOG_2PI - 0.5 * al * al
+        ln_mills_b = np.log(np.sqrt(np.pi / 2.0) * special.erfcx(bl / math.sqrt(2.0)))
+        lt = t1 + np.log1p(-np.exp(ln_phi + ln_mills_b - t1))
         out[0, left] = lt
         out[1, left] = lt + tail_bound_params(d)[0] * x[left]
-        out[3, left] = half[left] - 0.5 * LOG_2PI - 0.5 * al * al - lt
+        out[3, left] = half[left] + ln_phi - lt
     return out
 
 

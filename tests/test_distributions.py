@@ -518,6 +518,78 @@ class TestArrayKernels:
             for got in (f(d, x), f(d, np.array([x, 1.0]))[0]):
                 assert got == pytest.approx(ref, rel=1e-13, abs=tol), (f.__name__, got, ref)
 
+    @staticmethod
+    def _reference_left_of_mu(mu, lam, x):
+        # (ln F-bar, ln h) of IG(mu, lam) at 0 < x <= mu.  F-bar = Phi(-a) -
+        # e^(2 lam/mu) Phi(-b); as b^2 - a^2 = 4 lam/mu, e^(2 lam/mu) Phi(-b) =
+        # phi(a) M(b), and Phi(-a) = 1 - phi(a) M(-a), so F-bar = 1 - phi(a)
+        # (M(-a) + M(b)) with no e^(2 lam/mu) (mpmath.ncdf raises OverflowError
+        # from arguments near 1e156).  M(t) is sqrt(pi/2) erfc(t/sqrt 2)
+        # e^(t^2/2) below t = 10 and Laplace's continued fraction 1/(t + 1/(t +
+        # 2/(t + ...))) from there on.  The difference cancels to about b - a =
+        # 2 sqrt(lam/x), so that many more digits are carried; t < 2 sqrt(lam/x)
+        # then, and the continued fraction is used at 40 digits only.
+        mpmath = pytest.importorskip("mpmath")
+
+        def mills(t):
+            if t < 10:
+                return mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(t / mpmath.sqrt(2)) \
+                    * mpmath.exp(t * t / 2)
+            f = t
+            for n in range(200, 0, -1):
+                f = t + n / f
+            return 1 / f
+
+        extra = max(0, int((math.log10(x) - math.log10(lam)) / 2))
+        with mpmath.workdps(40 + extra):
+            m, l, xx = mpmath.mpf(mu), mpmath.mpf(lam), mpmath.mpf(x)
+            rt = mpmath.sqrt(l / xx)
+            a, b = rt * (xx / m - 1), rt * (xx / m + 1)
+            ln_phi = -a * a / 2 - mpmath.log(2 * mpmath.pi) / 2
+            ln_tail = mpmath.log1p(-mpmath.exp(ln_phi) * (mills(-a) + mills(b)))
+            ln_f = (mpmath.log(l) - 3 * mpmath.log(xx)) / 2 + ln_phi
+            return float(ln_tail), float(ln_f - ln_tail)
+
+    @staticmethod
+    def _left_of_mu_cases():
+        # lam/mu log-uniform from 1e-300 to 1e308 and x/mu from 1e-12 to 1,
+        # half of them within 1e-16 .. 1e-2 of mu
+        rng = np.random.default_rng(20262)
+        cases = [(1.0, 1e10, 0.99999), (1.0, 1e14, 0.9999999), (1.0, 1e308, 1.0),
+                 (1e-10, 1e300, 1e-12), (1e300, 1e-300, 1e299), (1e5, 1e-300, 1e5),
+                 (1.0, 1e-10, 0.999), (1.0, 1.0, 0.5), (2.0, 3.0, 0.5), (1.0, 1e3, 0.99)]
+        while len(cases) < 40:
+            ln_mu, ln_ratio = rng.uniform(-690, 690), rng.uniform(-690, 709)
+            if not -708 < ln_mu + ln_ratio < 709:
+                continue
+            u = (1 - 10 ** rng.uniform(-16, -2)) if len(cases) % 2 else 10 ** rng.uniform(-12, 0)
+            mu = math.exp(ln_mu)
+            cases.append((mu, math.exp(ln_mu + ln_ratio), mu * u))
+        return cases
+
+    def test_ig_tail_left_of_mu_matches_mpmath(self):
+        # left of mu the tail is Phi(-a) less e^(2 lam/mu) Phi(-b), with the
+        # second term taken as phi(a) M(b): no digits go to the cancelling
+        # 2 lam/mu + ln Phi(-b), and nothing is nan where 2 lam/mu overflows
+        for mu, lam, x in self._left_of_mu_cases():
+            d = dist.ig(mu, lam)
+            ref_tail, ref_hazard = self._reference_left_of_mu(mu, lam, x)
+            for got, ref in ((dist.log_tail(d, x), ref_tail), (dist.log_hazard(d, x), ref_hazard)):
+                assert not math.isnan(got), (mu, lam, x)
+                assert got == pytest.approx(ref, rel=1e-13, abs=1e-300), (mu, lam, x, got, ref)
+
+    @given(mu=st.floats(5e-324, 1.7e308), lam=st.floats(5e-324, 1.7e308),
+           xs=st.lists(st.floats(5e-324, 1.7e308), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ig_tail_and_hazard_never_nan(self, mu, lam, xs):
+        # at every finite x > 0, and at mu itself, also where sqrt(lam/x)
+        # overflows below x = 1e-308
+        d = dist.ig(mu, lam)
+        x = np.array(xs + [mu])
+        assert not np.isnan(dist.log_tail(d, x)).any()
+        assert not np.isnan(dist.log_hazard(d, x)).any()
+        assert (dist.log_tail(d, x) <= 0.0).all()
+
     def test_steep_hazard_in_closed_form(self):
         # alpha x^beta reaches 1e20 on this grid; the hazard still follows
         # its asymptote alpha beta x^(beta - 1) (1 + O(x^-beta))
