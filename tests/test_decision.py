@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -642,26 +643,66 @@ FUZZ_FACTORS = st.one_of(st.builds(dist.gg, *_SHAPES), st.builds(dist.dgg, *_SHA
                          st.builds(dist.ig, _log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e3)))
 
 
+def _mp_ig_log_tail_terms(d, ln_x):
+    """(ln F-bar + a^2/2, a > 0) of IG(mu, lam) at x = e^ln_x with 30 digits,
+    a = sqrt(lam/x) (x/mu - 1), b = sqrt(lam/x) (x/mu + 1), formed with no
+    cancellation and no e^(2 lam/mu) (mpmath.ncdf raises OverflowError from
+    arguments near 1e156).  For a > 0, F-bar = phi(a) (M(a) - M(b)) with M
+    the Mills ratio, and M(a) - M(b) = int_0^inf e^(-u^2/2 - a u) (1 -
+    e^(-(b - a) u)) du, a positive integrand, taken in v = a u from a = 1 on.
+    For a <= 0, F-bar = 1 - phi(a) (M(-a) + M(b)), which cancels to about
+    b - a = 2 sqrt(lam/x): that many more digits are carried, and M(t) is
+    sqrt(pi/2) erfc(t/sqrt 2) e^(t^2/2), or Laplace's continued fraction
+    from t = 10 on, where t < 2 sqrt(lam/x) and 30 digits serve."""
+    right = ln_x > math.log(d.mu)                     # a > 0
+    extra = 0 if right else max(0, int((ln_x - math.log(d.lam)) / (2 * math.log(10))))
+    with mpmath.workdps(30 + extra):
+        ln_x, mu, lam = mpmath.mpf(ln_x), mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+        x = mpmath.exp(ln_x)
+        rt = mpmath.sqrt(lam / x)
+        a, h = rt * (x / mu - 1), 2 * rt
+        ln_2pi = mpmath.log(2 * mpmath.pi)
+        if right:
+            # divided by the step, since quad stops at an absolute error of 1e-50
+            if a < 1:
+                diff = h * mpmath.quad(lambda u: mpmath.exp(-u * u / 2 - a * u)
+                                       * -mpmath.expm1(-h * u) / h, [0, 1, mpmath.inf])
+            else:
+                rho = h / a
+                diff = rho / a * mpmath.quad(lambda v: mpmath.exp(-v * v / (2 * a * a) - v)
+                                             * -mpmath.expm1(-rho * v) / rho, [0, 1, mpmath.inf])
+            return mpmath.log(diff) - ln_2pi / 2, True
+
+        def mills(t):
+            if t < 10:
+                return mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(t / mpmath.sqrt(2)) \
+                    * mpmath.exp(t * t / 2)
+            f = t
+            for n in range(200, 0, -1):
+                f = t + n / f
+            return 1 / f
+        phi = mpmath.exp(-a * a / 2 - ln_2pi / 2)
+        return mpmath.log1p(-phi * (mills(-a) + mills(a + h))) + a * a / 2, False
+
+
 def _mp_tail_ratio_and_hazard(d, ln_x, ln_alpha):
     """ln(F-bar(x) / (x^g e^(-a x^b))) with the exact envelope (a, b, g) that
-    tail_bound_params rounds, and ln(x h(x)), at x = e^ln_x.  Computed with
-    50 digits beyond the size of a x^b = e^(ln_alpha + b ln x), which cancels
-    in both."""
+    tail_bound_params rounds, and ln(x h(x)), at x = e^ln_x.  For GG and DGG,
+    computed with 50 digits beyond the size of a x^b = e^(ln_alpha + b ln x),
+    which cancels in both; for IG from ``_mp_ig_log_tail_terms`` and
+    -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x), which cancels nothing."""
+    if d.family == dist.IG:
+        scaled, _ = _mp_ig_log_tail_terms(d, ln_x)    # ln F-bar + a^2/2
+        with mpmath.workdps(50):
+            ln_x, mu, lam = mpmath.mpf(ln_x), mpmath.mpf(d.mu), mpmath.mpf(d.lam)
+            shift = lam / mu - lam / (2 * mpmath.exp(ln_x))
+            # ln f + a^2/2 = (ln lam - ln 2pi - 3 ln x)/2, the envelope -3/2 ln x - lam x/(2 mu^2)
+            ln_f = (mpmath.log(lam) - mpmath.log(2 * mpmath.pi) - 3 * ln_x) / 2
+            return float(scaled + shift + 1.5 * ln_x), float(ln_x + ln_f - scaled)
     _, b, _ = dist.tail_bound_params(d)
-    size = max(1.0, ln_alpha + b * ln_x,
-               math.log(d.lam) - math.log(d.mu) if d.family == dist.IG else 0)
+    size = max(1.0, ln_alpha + b * ln_x)
     with mpmath.workdps(50 + int(size / math.log(10))):
         ln_x = mpmath.mpf(ln_x)
-        x = mpmath.exp(ln_x)
-        if d.family == dist.IG:
-            mu, lam = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
-            rt = mpmath.sqrt(lam / x)
-            ln_tail = mpmath.log(mpmath.ncdf(-rt * (x / mu - 1))
-                                 - mpmath.exp(2 * lam / mu) * mpmath.ncdf(-rt * (x / mu + 1)))
-            ln_f = (mpmath.log(lam / (2 * mpmath.pi)) - 3 * ln_x) / 2 \
-                - lam * (x - mu) ** 2 / (2 * mu ** 2 * x)
-            ln_env = -1.5 * ln_x - lam / (2 * mu ** 2) * x
-            return float(ln_tail - ln_env), float(ln_x + ln_f - ln_tail)
         s = mpmath.mpf(d.gamma) / mpmath.mpf(d.beta)
         ln_z = mpmath.log(d.alpha) + mpmath.mpf(d.beta) * ln_x
         z = mpmath.exp(ln_z)                       # the envelope exponent alpha x^beta
@@ -844,6 +885,75 @@ def test_scale_relation():
     assert checked >= 1000
 
 
+def _permutation_factor(rng: random.Random):
+    """A factor of the permutation relation's pool: fuzz-range, exact-shape,
+    whole-range-scale or named, so that ties in ln_decreasing_from occur."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _fuzz_factor(rng)[0]
+    if kind == 1:
+        make = rng.choice((dist.gg, dist.dgg))
+        return make(rng.choice((1, 2, 0.5)), rng.choice(("1/3", "1/2", "2/3", 1, 2, 4)),
+                    rng.choice((1, 2, 0.5)))
+    if kind == 2:
+        def wide():
+            return math.exp(rng.uniform(-690.0, 690.0))
+        return rng.choice((dist.gg(wide(), rng.choice(("1/3", 2)), 3.0), dist.ig(wide(), wide())))
+    return rng.choice((EXP, NORMAL, IG11, HALF_NORMAL, dist.chi_square(3)))
+
+
+def _up_to_order(v, order):
+    """The report of a verdict on factors shuffled by ``order`` (order[j] is
+    the original index of factor j), with every factor index and the factor
+    exponents put back in the original order and the certificates sorted by
+    factor; the named decreasing factor is returned apart."""
+    doc = v.to_dict()
+    exponents = [0.0] * len(order)
+    for j, e in enumerate(doc["factor_exponents"]):
+        exponents[order[j]] = e
+    doc["factor_exponents"] = exponents
+    for r in doc["side_conditions"]:
+        r["evidence"]["factor_index"] = order[r["evidence"]["factor_index"]]
+    named = None
+    if doc["side_conditions"] and doc["side_conditions"][0]["criterion"] == "density_decreasing":
+        first = doc["side_conditions"].pop(0)
+        named = first["evidence"].pop("factor_index"), first["evidence"].pop("factor")
+        doc["density_decreasing"] = first
+    doc["side_conditions"].sort(key=lambda r: (r["evidence"]["factor_index"], r["criterion"]))
+
+    def unordered(caveat):
+        mapped = re.sub(r"\[(\d+)\]", lambda m: f"[{order[int(m.group(1))]}]", caveat)
+        if mapped.startswith("unverified: "):
+            mapped = "unverified: " + ", ".join(sorted(mapped[12:].split(", ")))
+        return mapped
+    doc["caveats"] = [unordered(c) for c in doc["caveats"]]
+    return doc, named
+
+
+def test_permutation_relation():
+    """Shuffling the factors leaves the conclusion, the rule, the header
+    fields and every certificate unchanged, up to factor order, on both
+    routes.  Only the decreasing density may be another factor, one with the
+    same ln_decreasing_from: the first of the least is named."""
+    rng = random.Random(20263)
+    checked = ties = 0
+    for _ in range(600):
+        factors = [_permutation_factor(rng) for _ in range(rng.randint(2, 6))]
+        for route in (dec.decide_product, dec.ratio_route):
+            base, base_named = _up_to_order(route(P(factors)), list(range(len(factors))))
+            for _ in range(2):
+                order = list(range(len(factors)))
+                rng.shuffle(order)
+                doc, named = _up_to_order(route(P([factors[i] for i in order])), order)
+                assert doc == base, str(P(factors))
+                if named != base_named:
+                    assert dist.log_decreasing_from(factors[named[0]]) == \
+                        dist.log_decreasing_from(factors[base_named[0]])
+                    ties += 1
+                checked += 1
+    assert checked == 2400 and ties >= 10
+
+
 EXACT_FACTORS = st.one_of(
     *(st.builds(make, st.just(1), st.fractions(Fraction(1, 12), 30, max_denominator=12),
                 st.just(1)) for make in (dist.gg, dist.dgg)),
@@ -872,22 +982,39 @@ def test_integer_comparison_matches_fractions(factors):
     assert ratio.exponent_sum == float(step * total)
 
 
+# scales over the whole float range, shapes over the fuzz ranges
+WIDE_FACTORS = st.one_of(st.builds(dist.gg, _WIDE, *_SHAPES[1:]),
+                         st.builds(dist.dgg, _WIDE, *_SHAPES[1:]),
+                         st.builds(dist.ig, _WIDE, _WIDE))
+
+
 @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
-@given(d=FUZZ_FACTORS, ln_x0=st.floats(0.0, 5.0), u=st.floats(0.0, 6.0))
+@given(d=WIDE_FACTORS, ln_x0=st.floats(0.0, 5.0), u=st.floats(0.0, 6.0))
+@example(d=dist.ig(1e300, 1e-300), ln_x0=0.0, u=1.0)     # lam/(2 mu^2) = e^-2073
+@example(d=dist.ig(1e-300, 1e300), ln_x0=0.0, u=0.0)     # lam/mu = 1e600
+@example(d=dist.ig(1e-10, 1e300), ln_x0=0.0, u=3.0)     # ln B clamped
+@example(d=dist.gg(1e-300, 0.03, 100), ln_x0=5.0, u=6.0)  # starts near ln x = 25000
+# starts near the top of the float range
+@example(d=EXP, ln_x0=math.log(1e306), u=0.0)
+@example(d=dist.gg(1, "1/3", 1), ln_x0=math.log(1e300), u=6.0)
+@example(d=IG11, ln_x0=math.log(1e306), u=1.0)
+@example(d=dist.ig(2, 1), ln_x0=math.log(1e300), u=0.0)
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_certificates_hold_against_mpmath(d, ln_x0, u):
     """Both certificates of a factor are finite, and at x = start e^u the
     50-digit tail and hazard satisfy F-bar(x) >= B x^g e^(-a x^b) and
-    x h(x) >= A, up to the rounding of the closed forms."""
+    x h(x) >= A, up to the rounding of the closed forms.  The scales alpha,
+    mu and lam cover [1e-300, 1e300]; the start may lie past the float range."""
     hazard, tail = dec._certify_envelope(d, 0, ln_x0)
     assert hazard.holds and tail.holds
     ln_a, ln_b = hazard.evidence["ln_A"], tail.evidence["ln_B"]
     starts = hazard.evidence["ln_x_start"], tail.evidence["ln_x_start"]
     assert all(math.isfinite(v) for v in (ln_a, ln_b, *starts))
     ln_alpha = tail.evidence["ln_alpha"]
-    ln_ratio, _ = _mp_tail_ratio_and_hazard(d, starts[1] + u, ln_alpha)
+    ln_ratio, ln_xh = _mp_tail_ratio_and_hazard(d, starts[1] + u, ln_alpha)
     assert ln_ratio >= ln_b - 1e-12 * (1 + abs(ln_b)), str(d)
-    _, ln_xh = _mp_tail_ratio_and_hazard(d, starts[0] + u, ln_alpha)
+    if starts[0] != starts[1]:
+        _, ln_xh = _mp_tail_ratio_and_hazard(d, starts[0] + u, ln_alpha)
     assert ln_xh >= ln_a - 1e-12 * (1 + abs(ln_a)), str(d)
 
 
