@@ -172,10 +172,10 @@ _MIXED_CAVEAT = (
 #
 # Each factor gets closed-form constants A and B with x h(x) >= A and
 # F-bar(x) >= B x^g e^(-a x^b) for every x from a certified start, (a, b, g)
-# being the envelope of ``tail_bound_params``, with the rate a given by its
-# log, which is finite wherever a itself under- or overflows.  With s = gamma/beta and
-# z = alpha x^beta, F-bar = Gamma(s, z)/Gamma(s) (half of it for DGG) and
-# x h(x) = beta z^s e^(-z)/Gamma(s, z) on x > 0.  The incomplete-gamma bounds
+# being the envelope of ``tail_bound_params``, the rate a given by its log,
+# finite where a under- or overflows.  With s = gamma/beta and z = alpha x^beta,
+# F-bar = Gamma(s, z)/Gamma(s) (half of it for DGG) and x h(x) = beta z^s
+# e^(-z)/Gamma(s, z) on x > 0.  The incomplete-gamma bounds
 # are those of Gautschi, J. Math. Phys. 38 (1959), and Natalini & Palumbo,
 # Math. Inequal. Appl. 3 (2000).  Everything is taken in log space, so
 # alpha x^beta is never formed.

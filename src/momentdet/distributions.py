@@ -538,16 +538,12 @@ def _ig_tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     out = np.empty((4, x.size))
     out[2] = half - 0.5 * LOG_2PI + shift
     mills = (a > 0.0) | (rt <= 0.5 * MILLS_TAYLOR_STEP)
-    am, xm, hm = a[mills], x[mills], 2.0 * rt[mills]
-    # ln a and ln h are read from MILLS_SERIES_FROM on only, where a > 0;
-    # where rt overflows they come from ln rt = (ln lam - ln x)/2
-    ln_a, ln_h = np.log(np.abs(a_mu[mills])), np.log(hm)
-    over = hm == math.inf
-    if over.any():
-        ln_rt = 0.5 * (math.log(d.lam) - np.log(xm[over]))
-        ln_a[over] = ln_rt + np.log(np.abs(xm[over] - d.mu))
-        ln_h[over] = math.log(2.0) + ln_rt
-    ln_d = _log_mills_difference(am, ln_a - math.log(d.mu), hm, ln_h)
+    am, xm = a[mills], x[mills]
+    # ln a and ln h, read from MILLS_SERIES_FROM on only (a > 0), come from
+    # ln sqrt(lam/x), finite also where sqrt(lam/x) overflows
+    ln_rt = 0.5 * (math.log(d.lam) - np.log(xm))
+    ln_d = _log_mills_difference(am, ln_rt + np.log(np.abs(xm - d.mu)) - math.log(d.mu),
+                                 2.0 * rt[mills], math.log(2.0) + ln_rt)
     out[0, mills] = ln_d - 0.5 * LOG_2PI - 0.5 * am * am
     out[1, mills] = ln_d - 0.5 * LOG_2PI + shift[mills]
     out[3, mills] = half[mills] - ln_d
