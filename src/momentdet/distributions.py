@@ -467,9 +467,9 @@ def _gg_tails(d: DistributionSpec, x: np.ndarray) -> tuple:
 
 def _log_mills_difference(a: np.ndarray, ln_a: np.ndarray, h: np.ndarray,
                           ln_h: np.ndarray) -> np.ndarray:
-    """ln(M(a) - M(a + h)) for a > -h and h > 0, elementwise, given also
-    ln a and ln h, which stay finite where a or h overflow, with M(t) =
-    Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2) the normal Mills ratio.
+    """ln(M(a) - M(a + h)) for a > -h and h > 0, elementwise, with M(t) =
+    Phi(-t)/phi(t) = sqrt(pi/2) erfcx(t/sqrt 2) the normal Mills ratio.  ln a
+    and ln h, finite where a or h overflow, are read where a >= MILLS_SERIES_FROM.
 
     Nothing is subtracted that cancels when h is small against a, and nothing
     under- or overflows where the difference or a are past the float range:
@@ -530,7 +530,7 @@ def _ig_tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     # use -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x).  Elsewhere a <= 0, and
     # log_ndtr(-a) less phi(a) M(b), a bounded fraction of it, serves.
     rt = math.sqrt(d.lam) / np.sqrt(x)                # sqrt(lam/x), also where lam/x underflows
-    a_mu = rt * (x - d.mu)                            # a mu, finite unless rt overflows (x < 1e-308)
+    a_mu = rt * (x - d.mu)                            # a mu; inf only where rt is (x < 1e-308)
     a_mu[x == d.mu] = 0.0                             # a = 0 there, not inf * 0
     a = a_mu / d.mu                                   # inf only where a itself overflows
     half = 0.5 * (math.log(d.lam) - 3.0 * np.log(x))  # ln sqrt(lam/x^3)
