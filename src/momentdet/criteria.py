@@ -350,6 +350,7 @@ def carleman_quantity(s: LogMomentSequence) -> CriterionReport:
 
 
 DEFAULT_SCHEDULE: tuple[float, ...] = tuple(10.0 * 2.0 ** j for j in range(15))
+KREIN_START = 1.0      # the lower end of the integral
 
 # increment-ratio thresholds separating a converging ladder from a diverging
 # one; logarithmically convergent integrals approach ratio 1 from below, so
@@ -358,11 +359,11 @@ FINITE_RATIO_MAX = 0.96
 INFINITE_RATIO_MIN = 0.98
 
 
-def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[float]] = None,
-                   x0: float = 1.0) -> CriterionReport:
+def krein_quantity(log_dens: Callable, case: str,
+                   schedule: Optional[Sequence[float]] = None) -> CriterionReport:
     """Truncation ladder for the Krein logarithmic integral of a density.
 
-    Stieltjes: integral of -ln f(x^2) / (1 + x^2) from x0; Hamburger: the
+    Stieltjes: integral of -ln f(x^2) / (1 + x^2) from 1; Hamburger: the
     symmetric real-line integral, evaluated as twice the positive half.
     Classification is by the decay of ladder increments: geometric-to-
     logarithmic decay (ratios < FINITE_RATIO_MAX) means finite, non-decaying
@@ -372,10 +373,8 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
     if case not in (STIELTJES, HAMBURGER):
         raise ValueError(f"case must be {STIELTJES!r} or {HAMBURGER!r}")
     rungs = tuple(schedule) if schedule is not None else DEFAULT_SCHEDULE
-    if len(rungs) < 6 or any(b <= a for a, b in zip(rungs, rungs[1:])):
-        raise ValueError("schedule must be >= 6 strictly increasing truncation points")
-    if rungs[0] <= x0:
-        raise ValueError("the first truncation point must exceed x0")
+    if len(rungs) < 6 or any(b <= a for a, b in zip((KREIN_START,) + rungs, rungs)):
+        raise ValueError("schedule must be >= 6 strictly increasing truncation points above 1")
 
     if case == STIELTJES:
         def integrand(x):
@@ -384,13 +383,13 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
         def integrand(x):
             return -2.0 * log_dens(x) / (1.0 + x * x)
 
-    probe = [integrand(x) for x in np.geomspace(x0 * (1 + 1e-9), rungs[-1], 256)]
+    probe = [integrand(x) for x in np.geomspace(KREIN_START * (1 + 1e-9), rungs[-1], 256)]
     if not all(map(math.isfinite, probe)):
         raise ValueError("integrand is not finite on the tail region; criterion inapplicable")
 
     partials = []
     acc = 0.0
-    prev = float(x0)
+    prev = KREIN_START
     for t in rungs:
         with np.errstate(invalid="ignore"):
             val, _ = integrate.quad(integrand, prev, t, limit=400)
@@ -421,11 +420,11 @@ def krein_quantity(log_dens: Callable, case: str, schedule: Optional[Sequence[fl
             "ladder": [float(v) for v in partials],
             "increment_ratios": [float(r) for r in ratios],
             "schedule": [float(t) for t in rungs],
-            "x0": float(x0),
+            "x0": KREIN_START,
             "case": case,
         },
         notes=(
-            "integral taken from x0 over the tail; finiteness there is "
+            "integral taken from 1 over the tail; finiteness there is "
             "equivalent to finiteness of the full integral for densities "
             "positive and continuous on compacts",
             "finiteness implies indeterminacy only under tail regularity "

@@ -48,7 +48,7 @@ from .distributions import (
     log_hazard,  # unused here; benchmarks/test_bench_specs.py traces decision.log_hazard
     moment_threshold,
     support_class,
-    tail_bound_params,
+    tail_envelope,
 )
 
 M_DET = "M-det"
@@ -172,7 +172,7 @@ _MIXED_CAVEAT = (
 #
 # Each factor gets closed-form constants A and B with x h(x) >= A and
 # F-bar(x) >= B x^g e^(-a x^b) for every x from a certified start, (a, b, g)
-# being the envelope of ``tail_bound_params``, the rate a given by its log,
+# being the envelope of ``tail_envelope``, the rate a given by its log,
 # finite where a under- or overflows.  With s = gamma/beta and z = alpha x^beta,
 # F-bar = Gamma(s, z)/Gamma(s) (half of it for DGG) and x h(x) = beta z^s
 # e^(-z)/Gamma(s, z) on x > 0.  The incomplete-gamma bounds
@@ -200,7 +200,7 @@ def _softplus(t: float) -> float:
 
 
 def _gg_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
-    """(ln x_c, ln A, note, ln a, ln B, note) of a GG or DGG factor from x0."""
+    """(ln x_c, ln A, note, ln B, note) of a GG or DGG factor from x0."""
     s = d.gamma / d.beta
     ln_alpha, ln_beta = math.log(d.alpha), math.log(d.beta)
     ln_z0 = ln_alpha + d.beta * ln_x0
@@ -225,20 +225,20 @@ def _gg_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
         tail_note = _NOTE_TAIL_S_LT_1
     if d.family == DGG:
         ln_b += math.log(0.5)
-    return ln_xc, ln_a, hazard_note, ln_alpha, ln_b, tail_note
+    return ln_xc, ln_a, hazard_note, ln_b, tail_note
 
 
 def _ig_certificates(d: DistributionSpec, ln_x0: float) -> tuple:
-    """(ln x0, ln A, note, ln k, ln B, note) of an IG factor from x0 = e^ln_x0."""
+    """(ln x0, ln A, note, ln B, note) of an IG factor from x0 = e^ln_x0."""
     ln_lam = math.log(d.lam)
-    ln_k = ln_lam - math.log(2.0) - 2.0 * math.log(d.mu)
+    ln_k = tail_envelope(d)[0]
     damp = math.exp(ln_lam - math.log(2.0) - ln_x0)    # lam/(2 x0), finite for x0 >= 1
     ln_a = ln_k + ln_x0 - damp
     ln_b = (0.5 * (ln_lam - LOG_2PI) + d.lam / d.mu - damp
             - ln_k - _softplus(math.log(1.5) - ln_x0 - ln_k))
     if ln_b == math.inf:                                # lam/mu overflows
-        return ln_x0, ln_a, _NOTE_HAZARD_IG, ln_k, sys.float_info.max, _NOTE_TAIL_IG_CLAMPED
-    return ln_x0, ln_a, _NOTE_HAZARD_IG, ln_k, ln_b, _NOTE_TAIL_IG
+        return ln_x0, ln_a, _NOTE_HAZARD_IG, sys.float_info.max, _NOTE_TAIL_IG_CLAMPED
+    return ln_x0, ln_a, _NOTE_HAZARD_IG, ln_b, _NOTE_TAIL_IG
 
 
 def _certify_envelope(d: DistributionSpec, index: int,
@@ -247,9 +247,9 @@ def _certify_envelope(d: DistributionSpec, index: int,
     x h(x) >= A and the envelope F-bar(x) >= B x^g e^(-a x^b), each with its
     closed-form ln A or ln B, its certified start and the inequality behind
     it.  A certificate that is not finite fails."""
-    ln_xc, ln_a, hazard_note, ln_rate, ln_b, tail_note = (
+    ln_xc, ln_a, hazard_note, ln_b, tail_note = (
         _ig_certificates(d, ln_x0) if d.family == IG else _gg_certificates(d, ln_x0))
-    _, b_t, g_t = tail_bound_params(d)
+    ln_rate, b_t, g_t = tail_envelope(d)
     return CriterionReport(
         criterion="hazard_bound",
         status=HOLDS if math.isfinite(ln_a) and math.isfinite(ln_xc) else FAILS,

@@ -535,6 +535,10 @@ def _ig_tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     a = a_mu / d.mu                                   # inf only where a itself overflows
     half = 0.5 * (math.log(d.lam) - 3.0 * np.log(x))  # ln sqrt(lam/x^3)
     shift = d.lam / d.mu - d.lam / (2.0 * x)
+    # nan where lam/mu and lam/(2x) overflow: there x < 1/2, and lam (2x - mu)/(2 mu x) from logs
+    both, gap = np.isnan(shift), 2.0 * x - d.mu
+    shift[both] = np.sign(gap[both]) * np.exp(math.log(d.lam) - math.log(2.0 * d.mu)
+                                              + np.log(np.abs(gap[both])) - np.log(x[both]))
     out = np.empty((4, x.size))
     out[2] = half - 0.5 * LOG_2PI + shift
     mills = (a > 0.0) | (rt <= 0.5 * MILLS_TAYLOR_STEP)
@@ -555,14 +559,14 @@ def _ig_tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
         ln_mills_b = np.log(np.sqrt(np.pi / 2.0) * special.erfcx(bl / math.sqrt(2.0)))
         lt = t1 + np.log1p(-np.exp(ln_phi + ln_mills_b - t1))
         out[0, left] = lt
-        out[1, left] = lt + tail_bound_params(d)[0] * x[left]
+        out[1, left] = lt + np.exp(tail_envelope(d)[0] + np.log(x[left]))
         out[3, left] = half[left] + ln_phi - lt
     return out
 
 
 def _tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     """Rows ln F-bar, ln F-bar + alpha_t x^beta_t, ln f + alpha_t x^beta_t and
-    ln h at a flat array of points, with the envelope of ``tail_bound_params``.
+    ln h at a flat array of points, with the envelope of ``tail_envelope``.
 
     The family kernels see the finite x > 0.  Elsewhere the tail is 1 at -inf
     and at x <= 0 on the half line, 1 - F(|x|) for DGG, 0 at +inf and nan at
@@ -575,15 +579,14 @@ def _tails(d: DistributionSpec, x: np.ndarray) -> np.ndarray:
     out = np.full((4, x.size), math.nan)
     pos = (x > 0.0) & (x < math.inf)
     out[:, pos] = (_ig_tails if d.family == IG else _gg_tails)(d, x[pos])
-    if d.family == IG:
-        limits = -math.inf, -math.inf, math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu)
-    else:
+    ln_rate, b_t, _ = tail_envelope(d)
+    limits = [-math.inf, -math.inf, ln_rate if b_t == 1.0 else math.copysign(math.inf, b_t - 1.0)]
+    if d.family != IG:
         s = d.gamma / d.beta
-        limits = ((math.log(0.5) if d.family == DGG else 0.0)
-                  + (0.0 if s == 1.0 else math.copysign(math.inf, s - 1.0)),
-                  _log_norming(d) if d.gamma == 1.0 else math.copysign(math.inf, d.gamma - 1.0),
-                  math.log(d.alpha) if d.beta == 1.0 else math.copysign(math.inf, d.beta - 1.0))
-    out[:, x == math.inf] = np.array((-math.inf,) + limits)[:, None]
+        limits[:2] = ((math.log(0.5) if d.family == DGG else 0.0)
+                      + (0.0 if s == 1.0 else math.copysign(math.inf, s - 1.0)),
+                      _log_norming(d) if d.gamma == 1.0 else math.copysign(math.inf, d.gamma - 1.0))
+    out[:, x == math.inf] = np.array([-math.inf] + limits)[:, None]
     rest = x <= 0.0
     if rest.any():
         out[0, rest] = 0.0
@@ -623,7 +626,7 @@ def tail(d: DistributionSpec, x):
 
 def log_tail_scaled(d: DistributionSpec, x):
     """ln( F-bar(x) * exp(+alpha_t x^beta_t) ), the tail with the envelope factor
-    of ``tail_bound_params`` taken out.
+    of ``tail_envelope`` taken out.
 
     Computed without forming the huge exponent difference, so it is usable on
     grids where alpha_t x^beta_t reaches 1e9.  Scalar or array x > 0; nan at
@@ -649,16 +652,16 @@ def hazard(d: DistributionSpec, x):
     return _on_points(d, x, 3, exp=True)
 
 
-def tail_bound_params(d: DistributionSpec) -> tuple[float, float, float]:
-    """Family-native (alpha, beta, gamma) of the tail envelope B x^gamma e^(-alpha x^beta).
+def tail_envelope(d: DistributionSpec) -> tuple[float, float, float]:
+    """Family-native (ln alpha, beta, gamma) of the tail envelope B x^gamma e^(-alpha x^beta).
 
     GG and DGG tails behave like x^(gamma-beta) e^(-alpha x^beta); the IG tail
-    decays like x^(-3/2) e^(-lam x / (2 mu^2)), a pure beta = 1 envelope.
+    decays like x^(-3/2) e^(-lam x / (2 mu^2)), a pure beta = 1 envelope.  The
+    rate is given by its log, finite where lam/(2 mu^2) under- or overflows.
     """
     if d.family == IG:
-        # divided in two steps: mu^2 alone underflows to 0 for mu below 1e-162
-        return d.lam / (2.0 * d.mu) / d.mu, 1.0, -1.5
-    return d.alpha, d.beta, d.gamma - d.beta
+        return math.log(d.lam) - math.log(2.0) - 2.0 * math.log(d.mu), 1.0, -1.5
+    return math.log(d.alpha), d.beta, d.gamma - d.beta
 
 
 def log_decreasing_from(d: DistributionSpec) -> float:

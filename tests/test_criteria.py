@@ -321,6 +321,13 @@ class TestKrein:
         with pytest.raises(ValueError, match="schedule"):
             cr.krein_quantity(lambda x: dist.log_density(e, x), dist.STIELTJES,
                               schedule=[10.0, 20.0])
+        # the integral starts at 1, so the first truncation point lies above it
+        with pytest.raises(ValueError, match="above 1"):
+            cr.krein_quantity(lambda x: dist.log_density(e, x), dist.STIELTJES,
+                              schedule=[1.0 * 2 ** j for j in range(8)])
+        rep = cr.krein_quantity(lambda x: dist.log_density(e, x), dist.STIELTJES,
+                                schedule=[1.5 * 2 ** j for j in range(8)])
+        assert rep.evidence["x0"] == 1.0
 
 
 class TestConditionL:

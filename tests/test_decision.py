@@ -343,9 +343,12 @@ class TestDecideProduct:
         for d in (dist.dgg(0.5, 2, 1), dist.gg(0.117, "1/3", 2.87), dist.gg(2, 3, "1/2"),
                   dist.ig(2, 3), dist.ig(0.05, 40)):
             hazard, tail = dec._certify_envelope(d, 0, math.log(2.0))
-            a, b, g = dist.tail_bound_params(d)
-            assert (tail.evidence["beta"], tail.evidence["gamma"]) == (b, g)
-            assert math.exp(tail.evidence["ln_alpha"]) == pytest.approx(a, rel=1e-14)
+            ln_a, b, g = dist.tail_envelope(d)
+            assert (tail.evidence["ln_alpha"], tail.evidence["beta"], tail.evidence["gamma"]) \
+                == (ln_a, b, g)
+            a = math.exp(ln_a)
+            assert a == pytest.approx(d.lam / (2 * d.mu ** 2) if d.family == dist.IG
+                                      else d.alpha, rel=1e-14)
             for u in (0.0, 1.0, 3.0, 6.0):
                 x = math.exp(tail.evidence["ln_x_start"] + u)
                 assert dist.log_tail(d, x) >= tail.evidence["ln_B"] + g * math.log(x) - a * x ** b
@@ -687,7 +690,7 @@ def _mp_ig_log_tail_terms(d, ln_x):
 
 def _mp_tail_ratio_and_hazard(d, ln_x, ln_alpha):
     """ln(F-bar(x) / (x^g e^(-a x^b))) with the exact envelope (a, b, g) that
-    tail_bound_params rounds, and ln(x h(x)), at x = e^ln_x.  For GG and DGG,
+    tail_envelope rounds, and ln(x h(x)), at x = e^ln_x.  For GG and DGG,
     computed with 50 digits beyond the size of a x^b = e^(ln_alpha + b ln x),
     which cancels in both; for IG from ``_mp_ig_log_tail_terms`` and
     -a^2/2 + lam x/(2 mu^2) = lam/mu - lam/(2x), which cancels nothing."""
@@ -699,7 +702,7 @@ def _mp_tail_ratio_and_hazard(d, ln_x, ln_alpha):
             # ln f + a^2/2 = (ln lam - ln 2pi - 3 ln x)/2, the envelope -3/2 ln x - lam x/(2 mu^2)
             ln_f = (mpmath.log(lam) - mpmath.log(2 * mpmath.pi) - 3 * ln_x) / 2
             return float(scaled + shift + 1.5 * ln_x), float(ln_x + ln_f - scaled)
-    _, b, _ = dist.tail_bound_params(d)
+    _, b, _ = dist.tail_envelope(d)
     size = max(1.0, ln_alpha + b * ln_x)
     with mpmath.workdps(50 + int(size / math.log(10))):
         ln_x = mpmath.mpf(ln_x)

@@ -355,8 +355,8 @@ class TestArrayKernels:
         points = np.array([np.inf] if scaled else [np.inf, -np.inf, np.nan])
         f = getattr(dist, kernel)
         for d in family_grid:
-            a_t, b_t, _ = dist.tail_bound_params(d)
-            ln_limit = math.log(a_t) if b_t == 1.0 else math.copysign(math.inf, b_t - 1.0)
+            ln_a_t, b_t, _ = dist.tail_envelope(d)
+            ln_limit = ln_a_t if b_t == 1.0 else math.copysign(math.inf, b_t - 1.0)
             log_values = [ln_limit, -math.inf, math.nan] if kernel.endswith("hazard") \
                 else [-math.inf, 0.0, math.nan]
             if scaled:
@@ -583,12 +583,27 @@ class TestArrayKernels:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_ig_tail_and_hazard_never_nan(self, mu, lam, xs):
         # at every finite x > 0, and at mu itself, also where sqrt(lam/x)
-        # overflows below x = 1e-308
+        # overflows below x = 1e-308; the scaled rows also where lam/mu and
+        # lam/(2x) both overflow, or the envelope rate lam/(2 mu^2) does
         d = dist.ig(mu, lam)
         x = np.array(xs + [mu])
-        assert not np.isnan(dist.log_tail(d, x)).any()
-        assert not np.isnan(dist.log_hazard(d, x)).any()
+        for kernel in (dist.log_tail, dist.log_hazard, dist.log_tail_scaled,
+                       dist.log_density_scaled):
+            assert not np.isnan(kernel(d, x)).any(), kernel.__name__
         assert (dist.log_tail(d, x) <= 0.0).all()
+
+    def test_ig_scaled_rows_past_the_float_range(self):
+        # lam/mu and lam/(2x) both overflow at IG(1/10, 3e307), x = 3/40, and
+        # the shift lam/mu - lam/(2x) = lam (2x - mu)/(2 mu x) is 1e308, so
+        # ln f + k x is (ln lam - ln 2pi - 3 ln x)/2 + 1e308; left of mu at
+        # IG(1/10, 1e307), k = lam/(2 mu^2) overflows but k x at 1e-4 is 5e304.
+        # Both are taken from logs, to a few hundred eps
+        d, x = dist.ig(1e-1, 3e307), 0.075
+        half = 0.5 * (math.log(3e307) - math.log(2 * math.pi) - 3 * math.log(x))
+        assert dist.log_density_scaled(d, x) == pytest.approx(half + 1e308, rel=1e-13)
+        d = dist.ig(1e-1, 1e307)
+        assert dist.log_tail_scaled(d, 1e-4) == pytest.approx(
+            dist.log_tail(d, 1e-4) + 5e304, rel=1e-13)
 
     def test_steep_hazard_in_closed_form(self):
         # alpha x^beta reaches 1e20 on this grid; the hazard still follows
