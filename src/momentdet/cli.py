@@ -49,7 +49,8 @@ EXIT_VERIFY_FAILED = 30
 
 SPEC_VERSION = 1
 
-# numerical failures of the oracles that verify reports instead of raising
+# numerical failures of the oracles, which verify reports and criterion turns
+# into an error naming the witness's delta, never a traceback
 NUMERICAL_FAILURES = (OverflowError, verify_mod.QuadratureError)
 
 # criteria computed from the product's moment sequence
@@ -67,25 +68,19 @@ class SpecError(ValueError):
 # settings
 
 
-def _finite(v) -> bool:
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
 def _int_in(lo: int, hi: float = math.inf):
     return lambda v: type(v) is int and lo <= v <= hi
 
 
-# name -> (default, check, requirement).  Each setting comes from its flag,
-# else the spec's overrides, else the default; these are the only override keys.
+# verify's settings, name -> (default, check, requirement).  Each comes from
+# its flag, else the spec's overrides, else the default; these are the only
+# override keys, and every command checks them, so a spec is valid or invalid
+# whatever the command.  No setting reaches a decision or a criterion.
 SETTINGS = {
-    "k_horizon": (criteria.DEFAULT_K_HORIZON, _int_in(criteria.MIN_K_HORIZON),
-                  f"an integer >= {criteria.MIN_K_HORIZON}"),
     "seed": (0, _int_in(0), "a nonnegative integer"),
     "mc": (10 ** 6, _int_in(verify_mod.MC_MIN_SAMPLES),
            f"an integer >= {verify_mod.MC_MIN_SAMPLES}"),
     "kmax": (4, _int_in(1, verify_mod.MC_KMAX), f"an integer from 1 to {verify_mod.MC_KMAX}"),
-    "schedule": (None, lambda v: v is None or (type(v) is list and all(map(_finite, v))),
-                 "a list of finite numbers"),
 }
 
 
@@ -226,12 +221,16 @@ def cmd_analyze(args) -> int:
 # criterion
 
 
-def _criterion_report(args, product: Optional[ProductSpec], s: dict):
+def _criterion_report(args, product: Optional[ProductSpec]):
     name = args.name
     if name in SEQUENCE_CRITERIA:
-        return SEQUENCE_CRITERIA[name](LogMomentSequence.from_product(product, s["k_horizon"]))
+        return SEQUENCE_CRITERIA[name](LogMomentSequence.from_product(product))
     if args.counterexample:
-        cd = verify_mod.build_counterexample(args.counterexample, args.delta)
+        try:
+            cd = verify_mod.build_counterexample(args.counterexample, args.delta)
+        except NUMERICAL_FAILURES as e:
+            raise SpecError(f"delta: the witness at delta = {args.delta!r} cannot be "
+                            f"normalized ({type(e).__name__}: {e})") from None
         log_dens, support = cd.log_density, cd.support
     elif len(product.factors) != 1:
         raise SpecError(f"the {name} criterion needs a single-factor spec "
@@ -241,7 +240,7 @@ def _criterion_report(args, product: Optional[ProductSpec], s: dict):
     else:
         d = product.factors[0]
         log_dens, support = (lambda x: log_density(d, x)), d.support
-    return criteria.krein_quantity(log_dens, support, schedule=s["schedule"])
+    return criteria.krein_quantity(log_dens, support)
 
 
 def cmd_criterion(args) -> int:
@@ -255,7 +254,8 @@ def cmd_criterion(args) -> int:
     else:
         product, overrides = load_spec(args.spec)
         inputs = _echo(product)
-    rep = _criterion_report(args, product, _settings(args, overrides))
+    _settings(args, overrides)   # no setting is read; an invalid one is still rejected
+    rep = _criterion_report(args, product)
     _emit(args, inputs, {"name": args.name, **rep.to_dict()})
     return {criteria.HOLDS: EXIT_HOLDS,
             criteria.FAILS: EXIT_FAILS}.get(rep.status, EXIT_INCONCLUSIVE)
@@ -335,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                  verify_mod.HAMBURGER_CASE),
                     help="use a built-in witness density instead of a spec")
     pc.add_argument("--delta", type=float, default=2.0,
-                    help="log-modulation exponent of the witness density (> 1)")
-    pc.add_argument("--k-horizon", type=int, default=None, dest="k_horizon",
-                    help=f"moment horizon K (default {SETTINGS['k_horizon'][0]})")
+                    help="log-modulation exponent of the witness density (finite, > 1)")
 
     pv = sub.add_parser("verify", help="oracle agreement and Monte Carlo cross-check")
     pv.add_argument("spec", help="JSON product spec file")

@@ -1,6 +1,6 @@
 """Independent numerical oracles: adaptive quadrature moments, the slowly
-log-modulated witness densities, exponent-split construction, Stirling's
-approximation and Monte Carlo cross-checks.
+log-modulated witness densities, exponent-split construction and Monte Carlo
+cross-checks.
 
 The quadrature works in u = ln x coordinates with the integrand rescaled by
 its peak value, so results are exact in log space no matter how large the
@@ -216,11 +216,11 @@ class CounterexampleDensity:
 
 
 def build_counterexample(case: str, delta: float) -> CounterexampleDensity:
-    """Normalize the witness density named ``case`` numerically; requires delta > 1."""
+    """Normalize the witness density named ``case`` numerically; requires a finite delta > 1."""
     if case not in _WITNESS_SUPPORT:
         raise ValueError(f"case must be {STIELTJES_CASE!r} or {HAMBURGER_CASE!r}")
-    if not delta > 1.0:
-        raise ValueError(f"delta must be > 1, got {delta!r}")
+    if not 1.0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite number > 1, got {delta!r}")
     support = _WITNESS_SUPPORT[case]
     unnorm = CounterexampleDensity(support=support, delta=float(delta), log_norming=0.0)
     log_z = quadrature_log_moment(unnorm.log_density, support, 0)
@@ -330,22 +330,6 @@ def theta_split(betas: Sequence[float], case: str) -> ThetaSplit:
 
 # ---------------------------------------------------------------------------
 # misc
-
-
-def stirling_gamma(x: float) -> float:
-    """sqrt(2 pi) x^(x - 1/2) e^(-x), the leading gamma-function approximation.
-
-    Evaluated in log space, so it is finite wherever the value is; past the
-    float range (x above about 171.6) it raises ``OverflowError``.
-    """
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"x must be a finite positive number, got {x!r}")
-    log_value = 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(x) - x
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise OverflowError(f"stirling_gamma({x!r}) = e^{log_value:.6g} "
-                            "passes the float range") from None
 
 
 def dominating_threshold(b: float, delta: float) -> Optional[float]:

@@ -193,14 +193,16 @@ class TestAnalyze:
         assert code == cli.EXIT_USAGE
         assert "tolerancee" in capsys.readouterr().err
 
-    def test_schedule_override_for_krein(self, tmp_path):
-        spec = write_spec(tmp_path, {
-            "factors": [{"family": "normal"}],
-            "overrides": {"schedule": [10.0 * 2 ** j for j in range(20)]},
-        })
-        code, out = run_cli("criterion", "krein", spec)
-        assert code == cli.EXIT_FAILS
-        assert len(json.loads(out)["evidence"]["ladder"]) == 20
+    def test_schedule_override_for_krein(self, tmp_path, capsys):
+        # the Krein ladder is the built-in one: "schedule" is an unknown key
+        for factor, schedule in [
+                ({"family": "normal"}, [10.0 * 2 ** j for j in range(20)]),
+                # a short ladder once read this infinite integral as finite
+                ({"family": "IG", "mu": 1, "lambda": 1}, [2, 3, 4, 5, 6, 7])]:
+            spec = write_spec(tmp_path, {"factors": [factor], "overrides": {"schedule": schedule}})
+            code, out = run_cli("criterion", "krein", spec)
+            assert code == cli.EXIT_USAGE and out == ""
+            assert "unknown key(s) ['schedule']" in capsys.readouterr().err
 
 
 INVALID_FLAGS = [(("--k-horizon", "0"), "k_horizon"), (("--k-horizon", "10"), "k_horizon"),
@@ -209,31 +211,26 @@ INVALID_FLAGS = [(("--k-horizon", "0"), "k_horizon"), (("--k-horizon", "10"), "k
 
 
 class TestConfig:
-    # analyze has no --k-horizon flag; the ids are those of the full grid.  No
-    # command takes --x0: the start of the side conditions is worked out, so
-    # the flag is unrecognized whatever its value
+    # No command takes --k-horizon or --x0: the moment horizon is fixed and the
+    # start of the side conditions is worked out, so either flag is
+    # unrecognized whatever its value
     @pytest.mark.parametrize("command,flags,field", [
         pytest.param(command, flags, field, id=f"command{i}-flags{j}-{field}")
         for i, command in enumerate([("analyze",), ("criterion", "growth")])
-        for j, (flags, field) in enumerate(INVALID_FLAGS)
-        if command != ("analyze",) or field != "k_horizon"])
+        for j, (flags, field) in enumerate(INVALID_FLAGS)])
     def test_invalid_flag_named(self, exp_spec, capsys, command, flags, field):
         code, out = run_cli(*command, exp_spec, *flags)
         assert code == cli.EXIT_USAGE and out == ""
-        named = "unrecognized arguments: --x0" if field == "x0" else f"{field}:"
-        assert named in capsys.readouterr().err
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     def test_analyze_takes_no_k_horizon_flag(self, exp_spec, capsys):
-        # no decision reads a moment horizon; the k_horizon override key stays,
-        # since criterion reads the same spec files
-        code, out = run_cli("analyze", exp_spec, "--k-horizon", "60")
-        assert code == cli.EXIT_USAGE and out == ""
-        assert "unrecognized arguments: --k-horizon" in capsys.readouterr().err
+        # no decision and no criterion reads a moment horizon from the user
         for command in (("analyze",), ("criterion", "growth")):
+            code, out = run_cli(*command, exp_spec, "--k-horizon", "60")
+            assert code == cli.EXIT_USAGE and out == ""
+            assert "unrecognized arguments: --k-horizon" in capsys.readouterr().err
             _, out = run_cli(*command, "--help")
-            assert "--x0" not in out
-        _, out = run_cli("analyze", "--help")
-        assert "--k-horizon" not in out
+            assert "--x0" not in out and "--k-horizon" not in out
 
     @pytest.mark.parametrize("overrides,field", [
         ({"k_horizon": "abc"}, "k_horizon"),
@@ -243,24 +240,30 @@ class TestConfig:
         ({"x0": -1}, "x0"),
     ])
     def test_invalid_override_named(self, tmp_path, capsys, overrides, field):
-        # "x0" is no setting: any value of it is an unknown key
+        # "k_horizon" and "x0" are no settings: any value of them is an unknown key
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}], "overrides": overrides})
         code, _ = run_cli("analyze", spec)
         assert code == cli.EXIT_USAGE
-        named = "unknown key(s) ['x0']" if field == "x0" else f"{field}:"
-        assert named in capsys.readouterr().err
+        assert f"unknown key(s) ['{field}']" in capsys.readouterr().err
 
     def test_valid_values_echoed(self, tmp_path):
+        # verify's settings are valid in any spec; analyze and criterion read none
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}],
-                                     "overrides": {"k_horizon": 40}})
+                                     "overrides": {"seed": 7, "mc": 200000, "kmax": 2}})
         code, out = run_cli("analyze", spec)
         assert code == cli.EXIT_MDET
-        doc = json.loads(out)
-        assert "k_horizon" not in doc and "x0" not in doc
+        assert not set(json.loads(out)) & {"seed", "n", "kmax", "k_horizon", "x0"}
         _, out = run_cli("criterion", "growth", spec)
-        assert json.loads(out)["evidence"]["k_max"] == 40
-        _, out = run_cli("criterion", "growth", spec, "--k-horizon", "60")
-        assert json.loads(out)["evidence"]["k_max"] == 60
+        assert json.loads(out)["evidence"]["k_max"] == criteria.DEFAULT_K_HORIZON
+        assert set(cli.SETTINGS) == {"seed", "mc", "kmax"}
+
+    @pytest.mark.parametrize("name", cli.CRITERION_NAMES)
+    def test_no_setting_reaches_a_criterion(self, tmp_path, name):
+        factors = [{"family": "GG", "alpha": 1, "beta": "1/3", "gamma": 1}]
+        plain = write_spec(tmp_path, {"factors": factors}, "plain.json")
+        tuned = write_spec(tmp_path, {"factors": factors,
+                                      "overrides": {"seed": 3, "mc": 200000, "kmax": 2}})
+        assert run_cli("criterion", name, tuned) == run_cli("criterion", name, plain)
 
 
     @pytest.mark.parametrize("overrides,field", [
@@ -275,16 +278,21 @@ class TestConfig:
         ({"kmax": 9}, "kmax"),
         ({"schedule": 5}, "schedule"),
         ({"schedule": ["a", "b", "c", "d", "e", "f"]}, "schedule"),
+        ({"k_horizon": 200}, "k_horizon"),
+        ({"schedule": [10, 20, 40, 80, 160, 320]}, "schedule"),
     ])
-    @pytest.mark.parametrize("command", [("verify",), ("criterion", "krein")])
+    @pytest.mark.parametrize("command", [("verify",), ("criterion", "krein"), ("analyze",)])
     def test_invalid_setting_named_by_every_command(self, tmp_path, capsys, command,
                                                      overrides, field):
-        # the spec is one document: every command checks all five settings
+        # the spec is one document: every command checks all three settings,
+        # and "k_horizon" and "schedule" are unknown keys whatever their value
         spec = write_spec(tmp_path, {"factors": [{"family": "exp"}], "overrides": overrides})
         code, out = run_cli(*command, spec)
         assert code == cli.EXIT_USAGE and out == ""
         err = capsys.readouterr().err
-        assert f"{field}:" in err and "Traceback" not in err
+        removed = field in ("k_horizon", "schedule")
+        named = f"unknown key(s) ['{field}']" if removed else f"{field}:"
+        assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flags,field", [(("--mc", "0"), "mc"), (("--kmax", "0"), "kmax")])
     def test_verify_zero_flag_rejected(self, exp_spec, capsys, flags, field):
@@ -311,6 +319,16 @@ class TestCriterion:
         code, _ = run_cli("criterion", "krein", "--counterexample", "stieltjes",
                           "--delta", "1.0")
         assert code == cli.EXIT_USAGE
+
+    # the witness's scan window passes the float range from about delta = 55
+    # (half line) and 200 (line); an infinite delta is no delta
+    @pytest.mark.parametrize("case,delta", [("stieltjes", "100"), ("hamburger", "1000"),
+                                            ("stieltjes", "inf"), ("hamburger", "inf")])
+    def test_krein_counterexample_large_delta_named(self, capsys, case, delta):
+        code, out = run_cli("criterion", "krein", "--counterexample", case, "--delta", delta)
+        assert code == cli.EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert "delta" in err and "Traceback" not in err
 
     def test_hardy_on_exponential(self, exp_spec):
         code, out = run_cli("criterion", "hardy", exp_spec)

@@ -284,40 +284,6 @@ class TestThetaSplit:
             assert scale * t * b < 1.0 - 1e-9
 
 
-class TestStirling:
-    def test_at_ten(self):
-        assert ver.stirling_gamma(10.0) == pytest.approx(362880.0, rel=0.01)
-
-    def test_at_one(self):
-        v = ver.stirling_gamma(1.0)
-        assert v == pytest.approx(math.sqrt(2 * math.pi) / math.e, rel=1e-12)
-        assert abs(v - 1.0) == pytest.approx(0.078, abs=0.002)
-
-    def test_at_hundred(self):
-        rel = abs(math.log(ver.stirling_gamma(100.0)) - math.lgamma(100.0))
-        assert rel < 1e-3
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ver.stirling_gamma(0.0)
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf])
-    def test_non_finite_named(self, x):
-        with pytest.raises(ValueError, match=r"^x must be a finite positive number"):
-            ver.stirling_gamma(x)
-
-    def test_finite_where_the_power_alone_overflows(self):
-        # x^(x - 1/2) passes the float range from x ~ 144; Gamma(150) ~ 3.8e260
-        # does not, and the relative error of Stirling is about 1/(12 x)
-        v = ver.stirling_gamma(150.0)
-        assert math.isfinite(v)
-        assert math.log(v) == pytest.approx(math.lgamma(150.0), abs=1e-3)
-
-    def test_past_the_float_range(self):
-        with pytest.raises(OverflowError, match=r"stirling_gamma\(200\.0\)"):
-            ver.stirling_gamma(200.0)
-
-
 class TestDominatingThreshold:
     def test_moderate_gap(self):
         u0 = ver.dominating_threshold(2.25, 2.0)
