@@ -320,8 +320,8 @@ class TestCriterion:
                           "--delta", "1.0")
         assert code == cli.EXIT_USAGE
 
-    # the witness's scan window passes the float range from about delta = 55
-    # (half line) and 200 (line); an infinite delta is no delta
+    # the witness's scan window passes the float range from about delta = 53.5
+    # (half line) and 107 (line); an infinite delta is no delta
     @pytest.mark.parametrize("case,delta", [("stieltjes", "100"), ("hamburger", "1000"),
                                             ("stieltjes", "inf"), ("hamburger", "inf")])
     def test_krein_counterexample_large_delta_named(self, capsys, case, delta):
