@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import __version__
 from . import criteria, decision, verify as verify_mod
-from .criteria import LogMomentSequence
 from .distributions import (
     IG,
     MOMENT_STEP,
@@ -53,11 +52,10 @@ SPEC_VERSION = 1
 # into an error naming the witness's delta, never a traceback
 NUMERICAL_FAILURES = (OverflowError, verify_mod.QuadratureError)
 
-# criteria computed from the product's moment sequence
-SEQUENCE_CRITERIA = {"growth": criteria.growth_exponent, "ratio": criteria.ratio_rate,
-                     "hardy": criteria.hardy_check, "cramer": criteria.cramer_check,
-                     "carleman": criteria.carleman_quantity}
-CRITERION_NAMES = (*SEQUENCE_CRITERIA, "krein", "lin")
+CRITERION_NAMES = tuple(decision.SPEC_CRITERIA)
+
+# the witness's delta when --counterexample is given without --delta
+DEFAULT_DELTA = 2.0
 
 
 class SpecError(ValueError):
@@ -221,41 +219,34 @@ def cmd_analyze(args) -> int:
 # criterion
 
 
-def _criterion_report(args, product: Optional[ProductSpec]):
-    name = args.name
-    if name in SEQUENCE_CRITERIA:
-        return SEQUENCE_CRITERIA[name](LogMomentSequence.from_product(product))
-    if args.counterexample:
-        try:
-            cd = verify_mod.build_counterexample(args.counterexample, args.delta)
-        except NUMERICAL_FAILURES as e:
-            raise SpecError(f"delta: the witness at delta = {args.delta!r} cannot be "
-                            f"normalized ({type(e).__name__}: {e})") from None
-        log_dens, support = cd.log_density, cd.support
-    elif len(product.factors) != 1:
-        raise SpecError(f"the {name} criterion needs a single-factor spec "
-                        "(no closed-form product density)")
-    elif name == "lin":
-        return criteria.condition_L_check(product.factors[0])
-    else:
-        d = product.factors[0]
-        log_dens, support = (lambda x: log_density(d, x)), d.support
-    return criteria.krein_quantity(log_dens, support)
+def _witness_krein(case: str, delta: float):
+    """The Krein ladder of a built-in witness density."""
+    try:
+        cd = verify_mod.build_counterexample(case, delta)
+    except NUMERICAL_FAILURES as e:
+        raise SpecError(f"delta: the witness at delta = {delta!r} cannot be "
+                        f"normalized ({type(e).__name__}: {e})") from None
+    return criteria.krein_quantity(cd.log_density, cd.support)
 
 
 def cmd_criterion(args) -> int:
     if args.counterexample:
         if args.name != "krein":
             raise SpecError("--counterexample applies to the krein criterion only")
-        product, overrides = None, {}
-        inputs = {"counterexample": args.counterexample, "delta": args.delta}
+        if args.spec:
+            raise SpecError("a spec file and --counterexample exclude each other")
+        delta = DEFAULT_DELTA if args.delta is None else args.delta
+        inputs = {"counterexample": args.counterexample, "delta": delta}
+        rep = _witness_krein(args.counterexample, delta)
+    elif args.delta is not None:
+        raise SpecError("--delta applies to --counterexample only")
     elif not args.spec:
         raise SpecError("a spec file is required unless --counterexample is given")
     else:
         product, overrides = load_spec(args.spec)
+        _settings(args, overrides)   # no setting is read; an invalid one is still rejected
         inputs = _echo(product)
-    _settings(args, overrides)   # no setting is read; an invalid one is still rejected
-    rep = _criterion_report(args, product)
+        rep = decision.spec_criterion(product, args.name)
     _emit(args, inputs, {"name": args.name, **rep.to_dict()})
     return {criteria.HOLDS: EXIT_HOLDS,
             criteria.FAILS: EXIT_FAILS}.get(rep.status, EXIT_INCONCLUSIVE)
@@ -334,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--counterexample", choices=(verify_mod.STIELTJES_CASE,
                                                  verify_mod.HAMBURGER_CASE),
                     help="use a built-in witness density instead of a spec")
-    pc.add_argument("--delta", type=float, default=2.0,
-                    help="log-modulation exponent of the witness density (finite, > 1)")
+    pc.add_argument("--delta", type=float, default=None,
+                    help="log-modulation exponent of the witness density (finite, > 1; "
+                         f"default {DEFAULT_DELTA})")
 
     pv = sub.add_parser("verify", help="oracle agreement and Monte Carlo cross-check")
     pv.add_argument("spec", help="JSON product spec file")

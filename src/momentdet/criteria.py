@@ -8,6 +8,10 @@ converges like 1 - 1/ln k and is hopeless at any usable horizon, while the
 second difference k * d^2(ln m_k)/dk^2 removes both the linear term and any
 scale factor, leaving an O(1/k) error.  Raw quotients are still reported in
 the evidence for inspection.
+
+These evaluators serve moment sequences given directly and log-density
+callables such as the witnesses.  On a product spec, ``momentdet
+criterion`` answers from closed forms instead (``decision.spec_criterion``).
 """
 from __future__ import annotations
 
@@ -157,10 +161,12 @@ def _tail_window(ks: np.ndarray, K: int, stat: Callable, *columns) -> tuple[floa
     return now, now - float(stat(*(c[prev] for c in columns)))
 
 
-def _slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Closed-form least-squares slope of y on x (sum/size: the mean, minus its overhead)."""
-    dx = x - x.sum() / x.size
-    return float(dx @ (y - y.sum() / y.size) / (dx @ dx))
+def _slope(x: Sequence[float], y: Sequence[float]) -> float:
+    """Closed-form least-squares slope of y on x, from exactly rounded sums."""
+    n = len(x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    dx = [float(a) - mx for a in x]
+    return math.fsum(d * (float(b) - my) for d, b in zip(dx, y)) / math.fsum(d * d for d in dx)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +358,12 @@ def carleman_quantity(s: LogMomentSequence) -> CriterionReport:
 DEFAULT_SCHEDULE: tuple[float, ...] = tuple(10.0 * 2.0 ** j for j in range(15))
 KREIN_START = 1.0      # the lower end of the integral
 
+# what a Krein classification proves, in every Krein report
+KREIN_THEOREM_NOTE = ("a finite integral implies indeterminacy on its own (Krein 1945 on the "
+                      "line; Pedersen 1998 on the half line); Lin's condition is the hypothesis "
+                      "of the converse: an infinite integral implies determinacy where L is "
+                      "eventually increasing and unbounded (Lin 1997)")
+
 # increment-ratio thresholds separating a converging ladder from a diverging
 # one; logarithmically convergent integrals approach ratio 1 from below, so
 # the finite cutoff must sit well above 1/2
@@ -368,7 +380,9 @@ def krein_quantity(log_dens: Callable, case: str,
     Classification is by the decay of ladder increments: geometric-to-
     logarithmic decay (ratios < FINITE_RATIO_MAX) means finite, non-decaying
     increments mean infinite.  Status ``holds`` means finite, the
-    indeterminacy-side condition (sufficient only together with regularity).
+    indeterminacy-side condition.  The ladder serves callables such as the
+    witness densities; a factor's integral is classified in closed form by
+    ``decision.krein_closed_form``.
     """
     if case not in (STIELTJES, HAMBURGER):
         raise ValueError(f"case must be {STIELTJES!r} or {HAMBURGER!r}")
@@ -427,8 +441,7 @@ def krein_quantity(log_dens: Callable, case: str,
             "integral taken from 1 over the tail; finiteness there is "
             "equivalent to finiteness of the full integral for densities "
             "positive and continuous on compacts",
-            "finiteness implies indeterminacy only under tail regularity "
-            "such as the Lin condition",
+            KREIN_THEOREM_NOTE,
         ),
     )
 
@@ -437,43 +450,48 @@ def krein_quantity(log_dens: Callable, case: str,
 # Condition L
 
 
+LIN_GRID_POINTS = 240
+
+
 def condition_L_check(obj, x0: float = 1.0, symmetric: Optional[bool] = None) -> CriterionReport:
     """Is L(x) = -x f'(x)/f(x) nondecreasing and unbounded beyond x0?
 
     For a DistributionSpec this holds in closed form: L = (1-gamma) +
     alpha beta x^beta for GG and DGG, L = 3/2 + lam x/(2 mu^2) - lam/(2x) for
-    IG, both increasing and unbounded.  Its grid values are kept as evidence.
-    A log-density callable is tested numerically (central differences): the
-    growth test accepts either a large absolute climb or clear power-law
-    growth of L on the last decade of the grid.
+    IG, both increasing and unbounded.  Its values on a geometric grid of
+    LIN_GRID_POINTS points over four decades from x0 are kept as evidence,
+    computed with math calls.  A log-density callable is tested numerically
+    (central differences) on the same grid: the growth test accepts either a
+    large absolute climb or clear power-law growth of L on the last decade.
     """
     closed_form = isinstance(obj, DistributionSpec)
+    lo, hi = x0 * 1.0000001, x0 * 1e4
+    last = LIN_GRID_POINTS - 1
+    grid = [lo * (hi / lo) ** (i / last) for i in range(last)] + [hi]
     if closed_form:
-        L_of = lambda x: lin_L(obj, x)
+        L = [lin_L(obj, x) for x in grid]
         symmetric = obj.support == HAMBURGER
         label = str(obj)
     else:
         log_dens = obj.log_density if hasattr(obj, "log_density") else obj
-        L_of = lambda x: lin_L_numeric(log_dens, x)
+        with np.errstate(all="ignore"):
+            L = lin_L_numeric(log_dens, np.array(grid)).tolist()
         symmetric = bool(symmetric)
         label = "numeric"
-    with np.errstate(all="ignore"):
-        grid = np.geomspace(x0 * 1.0000001, x0 * 1e4, 240)
-        L = np.asarray(L_of(grid), dtype=float)
-        finite = bool(np.all(np.isfinite(L)))
-        if not (finite or closed_form):
-            raise ValueError("L is not finite on the test grid")
-        scale = float(np.max(np.abs(L))) or 1.0
-        monotone = bool(np.all(np.diff(L) >= -1e-9 * scale))
-        climb = float(L[-1] - L[0])
-    last_decade = grid >= grid[-1] / 10.0
+    finite = all(map(math.isfinite, L))
+    if not (finite or closed_form):
+        raise ValueError("L is not finite on the test grid")
+    scale = max(map(abs, L)) or 1.0
+    monotone = all(b - a >= -1e-9 * scale for a, b in zip(L, L[1:]))
+    climb = L[-1] - L[0]
+    decade = [(x, v) for x, v in zip(grid, L) if x >= hi / 10.0]
     slope = None
-    if finite and np.all(L[last_decade] > 0.0):
-        slope = _slope(np.log(grid[last_decade]), np.log(L[last_decade]))
+    if finite and all(v > 0.0 for _, v in decade):
+        slope = _slope([math.log(x) for x, _ in decade], [math.log(v) for _, v in decade])
     evidence = {
         "x0": float(x0),
-        "L_first": float(L[0]),
-        "L_last": float(L[-1]),
+        "L_first": L[0],
+        "L_last": L[-1],
         "climb": climb,
         "power_slope": slope,
         "monotone": monotone,

@@ -18,6 +18,9 @@ otherwise a float sum within ``BOUNDARY_BAND`` of the threshold is inconclusive.
 
 Rule codes ("Theorem 5", "Corollary 1", ...) are this tool's rulebook
 identifiers; ``explain`` renders them together with the verified evidence.
+
+The same exponent sum, compared the same way, and the ratio certificates
+answer ``momentdet criterion`` on a spec in closed form (``spec_criterion``).
 """
 from __future__ import annotations
 
@@ -30,8 +33,10 @@ from .criteria import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    KREIN_THEOREM_NOTE,
     PARITY,
     CriterionReport,
+    condition_L_check,
 )
 from .distributions import (
     DGG,
@@ -46,7 +51,6 @@ from .distributions import (
     ProductSpec,
     log_decreasing_from,
     log_hazard,  # unused here; benchmarks/test_bench_specs.py traces decision.log_hazard
-    moment_threshold,
     support_class,
     tail_envelope,
 )
@@ -102,6 +106,28 @@ def exact_exponent(d: DistributionSpec) -> Optional[tuple[int, int]]:
         return 1, 1
     b = d.beta_exact
     return None if b is None else (b.denominator, b.numerator)
+
+
+def _exact_sum(factors: Sequence[DistributionSpec]) -> Optional[tuple[int, int]]:
+    """The exponent sum as the ints (num, den) when every exponent is exact; else None."""
+    num, den = 0, 1
+    for d in factors:
+        exact = exact_exponent(d)
+        if exact is None:
+            return None
+        q, p = exact
+        num, den = num * p + q * den, den * p
+    return num, den
+
+
+def _at_most(total: float, exact: Optional[tuple[int, int]], limit: int) -> Optional[bool]:
+    """Whether an exponent sum is at most the int ``limit``: exactly, in ints,
+    from its exact form num/den; else from its float total, None within
+    BOUNDARY_BAND of the limit."""
+    if exact is None:
+        return None if abs(total - limit) <= BOUNDARY_BAND else total < limit
+    num, den = exact
+    return num <= limit * den
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +379,20 @@ def _decide(p: ProductSpec, route: str) -> Verdict:
     # against step times the threshold, which is 2
     step = MOMENT_STEP[support]
     scale = step if route == RATIO else 1
-    threshold = scale * moment_threshold(support)
+    limit = scale * 2 // step
+    threshold = float(limit)
     exponents = [scale * factor_exponent(d) for d in factors]
     total = math.fsum(exponents)
-    exact = [exact_exponent(d) for d in factors]
-    if None in exact:
-        exact = None
-        det = None if abs(total - threshold) <= BOUNDARY_BAND else total < threshold
+    exact = _exact_sum(factors)
+    if exact is None:
+        det = _at_most(total, None, limit)
     else:
-        num, den = 0, 1   # the exact exponent sum num/den, in ints
-        for q, p in exact:
-            num, den = num * p + q * den, den * p
-        det = num * step <= 2 * den
+        num, den = exact
+        det = _at_most(total, (scale * num, den), limit)
         if route == RATIO:
             # exact rates are reported correctly rounded from their exact values
-            exponents, total = [scale * q / p for q, p in exact], scale * num / den
+            exponents = [scale * q / p for q, p in map(exact_exponent, factors)]
+            total = scale * num / den
 
     side = ([_certify_rate(d, i, step, r) for i, (d, r) in enumerate(zip(factors, exponents))]
             if route == RATIO else [])
@@ -427,6 +452,275 @@ def ratio_route(p: ProductSpec) -> Verdict:
     this route can never prove indeterminacy.
     """
     return _decide(p, RATIO)
+
+
+# ---------------------------------------------------------------------------
+# the criteria of ``momentdet criterion`` on a spec, in closed form
+#
+# The ratio certificates telescope.  With the moment step s of the product's
+# class, its rate r = s S and the sums c_lo and c_up of its factors' ratio
+# constants, ln m_(js) lies within ln m_s + r ln j! + (j-1) c_lo and
+# ln m_s + r ln j! + (j-1) c_up for every j >= 1, and so within
+#     r ln j! + j ln M_lower   and   r ln j! + j ln M_upper,
+# with ln M_lower = min(c_lo, ln m_s) and ln M_upper = max(c_up, ln m_s).
+# These two constants and the exponent sum S give each criterion:
+# - growth: ln m_k = S k ln k + O(k), as ln j! = j ln j - j + O(ln j);
+# - Hardy (s = 1): for S <= 2, m_k <= M_upper^k (k!)^2 <= (M_upper/2)^k (2k)!,
+#   as (2k)! >= 2^k (k!)^2; for S > 2, m_k / (2k)! >= (M_lower/4)^k (k!)^(S-2)
+#   outgrows c0^k for every c0, as (2k)! <= 4^k (k!)^2;
+# - Cramer: for S <= 1, m_2k <= (M_upper/2)^k (2k)! when s = 2 (r <= 2) and
+#   m_2k <= M_upper^(2k) (2k)! when s = 1 (r <= 1); for S > 1 the lower
+#   bounds outgrow c0^k (2k)! in the same way;
+# - Carleman: the term m_(js)^(-1/(2j)) lies within M_upper^(-1/2) (j!)^(-r/(2j))
+#   and M_lower^(-1/2) (j!)^(-r/(2j)), and j/e <= (j!)^(1/j) <= j, so the sum
+#   diverges iff r <= 2, that is S <= 2/s.
+# No polynomial factor is left over at S = 2 or S = 1: (2k)!/(k!)^2 >= 2^k
+# takes the sqrt(pi k) of Stirling's formula into c0^k, and
+# (j-1) c + ln m_s <= j max(c, ln m_s) takes the first moment into M^j.
+# The status is decided from S as ``_decide`` decides, and needs the
+# constants it rests on to be finite.
+
+# Every constant here is rounded outward by one rule: by _ROUNDING times the
+# sum of the magnitudes of the terms it is made of, plus 1.  The 1 covers
+# math.lgamma, whose error near its zeros at 1 and 2 is absolute (up to about
+# 6 eps against 50-digit values).
+_ROUNDING = 16.0 * sys.float_info.epsilon
+# below the minimum of ln Gamma on x > 0, -0.1214862905358496...
+_LGAMMA_MIN = -0.1214862906
+
+_NOTE_MOMENTS = ("ln m_(js) lies within r ln j! + j ln M_lower and r ln j! + j ln M_upper "
+                 "for every j >= 1, s being the moment step: the ratio certificates summed "
+                 "from ln m_s, ln M_lower = min(c_lo, ln m_s), ln M_upper = max(c_up, ln m_s)")
+_NOTE_GROWTH = ("so ln m_k = a k ln k + O(k) with a = r/s, as j ln j - j < ln j! <= "
+                "j ln j - j + ln(2 pi j)/2 + 1/(12 j) (Robbins, Amer. Math. Monthly 62 (1955))")
+_NOTE_RATIO = ("r ln(j+1) + ln C_lower <= ln(m_((j+1)s)/m_(js)) <= r ln(j+1) + ln C_upper "
+               "for every j >= 1: the factors' ratio certificates summed")
+_NOTE_HARDY = ("S <= 2: m_k <= M_upper^k (k!)^2 <= c0^k (2k)!, c0 = M_upper/2, as "
+               "(2k)! >= 2^k (k!)^2; S > 2: m_k/(2k)! >= (M_lower/4)^k (k!)^(S-2) "
+               "outgrows c0^k for every c0")
+_NOTE_CRAMER = ("S <= 1: m_2k <= c0^k (2k)!, c0 = M_upper/2 on the even orders (r <= 2, "
+                "(2k)! >= 2^k (k!)^2) and M_upper^2 on all orders (r <= 1); S > 1: the "
+                "lower bounds outgrow c0^k (2k)! for every c0")
+_NOTE_CARLEMAN = ("the term m_(js)^(-1/(2j)) lies within M_upper^(-1/2) (j!)^(-r/(2j)) and "
+                  "M_lower^(-1/2) (j!)^(-r/(2j)), with j/e <= (j!)^(1/j) <= j: the sum "
+                  "diverges iff r <= 2")
+_NOTE_CARLEMAN_NECESSARY = ("a finite Carleman sum is only necessary for indeterminacy; no "
+                            "M-indet conclusion can be drawn from this criterion alone")
+_NOTE_NOT_FINITE = "a constant is not finite, so the bound it carries is not certified"
+_NOTE_KREIN_FORMS = ("-ln f(x^2) = alpha x^(2 beta) - 2(gamma-1) ln x - ln c for GG and "
+                     "-ln f(x) = alpha |x|^beta - (gamma-1) ln|x| - ln c for DGG on the line, "
+                     "so the integral is finite iff beta < 1/2 (GG) or beta < 1 (DGG); for IG, "
+                     "-ln f(x^2) grows like lam x^2/(2 mu^2) and it is infinite")
+
+
+def _outward(value: float, size: float) -> tuple[float, float]:
+    """value moved down and up by the shared rounding rule, for terms of total magnitude size."""
+    pad = _ROUNDING * (size + 1.0)
+    return value - pad, value + pad
+
+
+def _fsum(values) -> float:
+    """math.fsum, nan where the sum passes the float range or meets inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _outward_sum(values: list[float], side: int) -> float:
+    """The sum of values, moved down (side 0) or up (side 1) by the shared rule."""
+    return _outward(_fsum(values), _fsum(map(abs, values)))[side]
+
+
+def _log_first_moment(d: DistributionSpec, step: int) -> tuple[float, float]:
+    """Lower and upper bounds of ln m_step of a factor, rounded outward."""
+    if d.family == IG:
+        ln_mu = math.log(d.mu)
+        if step == 1:
+            return _outward(ln_mu, abs(ln_mu))
+        ln_lam = math.log(d.lam)
+        lift = _softplus(ln_mu - ln_lam)            # m_2 = mu^2 (1 + mu/lam)
+        return _outward(2.0 * ln_mu + lift, 2.0 * abs(ln_mu) + abs(ln_lam) + lift)
+    # -h ln alpha + ln Gamma(x + h) - ln Gamma(x), x = gamma/beta, h = step/beta
+    h, x = step / d.beta, d.gamma / d.beta
+    t = -h * math.log(d.alpha)
+    if 0.0 < x and x + h < 2.5e305:
+        g1, g0 = math.lgamma(x + h), math.lgamma(x)
+        return _outward(t + g1 - g0, abs(t) + abs(g1) + abs(g0))
+    # past the range of math.lgamma: h psi(y) for some y in (x, x + h), with
+    # ln y - 1/y < psi(y) < ln y (Alzer); for x <= 1, where 1/x may overflow,
+    # ln Gamma(x) <= -ln x (Gamma(1 + x) <= 1) and ln Gamma >= _LGAMMA_MIN instead
+    ln_beta, ln_gamma, ln_top = math.log(d.beta), math.log(d.gamma), math.log(d.gamma + step)
+    hi = t + h * (ln_top - ln_beta)
+    size = abs(t) + h * (abs(ln_top) + abs(ln_beta))
+    if x <= 1.0:
+        lo = t + _LGAMMA_MIN + ln_gamma - ln_beta
+        size_lo = abs(t) + 1.0 + abs(ln_gamma) + abs(ln_beta)
+    else:
+        lo = t + h * (ln_gamma - ln_beta - d.beta / d.gamma)
+        size_lo = abs(t) + h * (abs(ln_gamma) + abs(ln_beta) + d.beta / d.gamma)
+    return _outward(lo, size_lo)[0], _outward(hi, size)[1]
+
+
+@dataclass(frozen=True)
+class _MomentBounds:
+    """The closed-form moment constants of a product: its moment step s,
+    exponent sum S (exact as (num, den) or None), rate r = s S, summed ratio
+    constants c_lo and c_up, and moment constants ln M_lower and ln M_upper,
+    all rounded outward."""
+
+    step: int
+    total: float
+    exact: Optional[tuple[int, int]]
+    rate: float
+    c_lo: float
+    c_up: float
+    ln_m_lower: float
+    ln_m_upper: float
+
+    @property
+    def finite(self) -> bool:
+        return all(map(math.isfinite, (self.rate, self.c_lo, self.c_up,
+                                       self.ln_m_lower, self.ln_m_upper)))
+
+    def against(self, limit: int) -> tuple[Optional[bool], str, tuple[str, ...]]:
+        """Whether S <= limit, decided as ``_decide`` decides, the status of a
+        criterion that holds iff it is, and the note of an inconclusive one."""
+        at_most = _at_most(self.total, self.exact, limit)
+        if at_most is None:
+            return at_most, INCONCLUSIVE, (_BOUNDARY[PRODUCT][1],)
+        if not self.finite:
+            return at_most, INCONCLUSIVE, (_NOTE_NOT_FINITE,)
+        return at_most, HOLDS if at_most else FAILS, ()
+
+    def evidence(self, limit: Optional[int] = None) -> dict:
+        out = {"rate": self.rate, "ln_M_lower": self.ln_m_lower, "ln_M_upper": self.ln_m_upper,
+               "j_from": 1, "parity": PARITY[self.step]}
+        if limit is not None:
+            out.update(exponent_sum=self.total, threshold=float(limit),
+                       exact_boundary_arithmetic=self.exact is not None)
+        return out
+
+
+def _unless_nan(pick, a: float, b: float) -> float:
+    return math.nan if math.isnan(a) or math.isnan(b) else pick(a, b)
+
+
+def _moment_bounds(p: ProductSpec) -> _MomentBounds:
+    support = support_class(p)
+    step = MOMENT_STEP[support]
+    exponents = [factor_exponent(d) for d in p.factors]
+    total = math.fsum(exponents)
+    rates = [_certify_rate(d, i, step, step * a).evidence
+             for i, (d, a) in enumerate(zip(p.factors, exponents))]
+    c_lo = _outward_sum([c["ln_C_lower"] for c in rates], 0)
+    c_up = _outward_sum([c["ln_C_upper"] for c in rates], 1)
+    firsts = [_log_first_moment(d, step) for d in p.factors]
+    m_lo = _outward_sum([lo for lo, _ in firsts], 0)
+    m_up = _outward_sum([up for _, up in firsts], 1)
+    return _MomentBounds(step, total, _exact_sum(p.factors), step * total, c_lo, c_up,
+                         _unless_nan(min, c_lo, m_lo), _unless_nan(max, c_up, m_up))
+
+
+def _growth(p: ProductSpec) -> CriterionReport:
+    b = _moment_bounds(p)
+    return CriterionReport("growth", HOLDS if b.finite else INCONCLUSIVE,
+                           {"a": b.total, **b.evidence()},
+                           (_NOTE_MOMENTS, _NOTE_GROWTH) + (() if b.finite else (_NOTE_NOT_FINITE,)))
+
+
+def _ratio(p: ProductSpec) -> CriterionReport:
+    b = _moment_bounds(p)
+    ok = all(map(math.isfinite, (b.rate, b.c_lo, b.c_up)))
+    return CriterionReport("ratio", HOLDS if ok else INCONCLUSIVE,
+                           {"r": b.rate, "ln_C_lower": b.c_lo, "ln_C_upper": b.c_up,
+                            "j_from": 1, "parity": PARITY[b.step]},
+                           (_NOTE_RATIO,) + (() if ok else (_NOTE_NOT_FINITE,)))
+
+
+def _bound(name: str, p: ProductSpec, limit: int, note: str, ln_c0_of) -> CriterionReport:
+    """Hardy's or Cramer's bound c0^k (2k)!, which holds iff S <= limit,
+    with ln c0 = ln_c0_of(bounds) rounded up where it holds."""
+    b = _moment_bounds(p)
+    _, status, caveat = b.against(limit)
+    ln_c0 = c0 = None
+    if status == HOLDS:
+        ln_c0 = _outward(ln_c0_of(b), 2.0 * abs(b.ln_m_upper) + 1.0)[1]
+        try:
+            c0 = math.nextafter(math.exp(ln_c0), math.inf)   # rounded up, as ln c0 is
+        except OverflowError:
+            c0 = math.inf
+    return CriterionReport(name, status, {**b.evidence(limit), "ln_c0": ln_c0, "c0": c0},
+                           (_NOTE_MOMENTS, note, *caveat))
+
+
+def _hardy(p: ProductSpec) -> CriterionReport:
+    if support_class(p) != STIELTJES:
+        raise ValueError("the hardy criterion needs a half-line product, whose moments of "
+                         "every order are its sequence; on the real line use cramer")
+    return _bound("hardy", p, 2, _NOTE_HARDY, lambda b: b.ln_m_upper - math.log(2.0))
+
+
+def _cramer(p: ProductSpec) -> CriterionReport:
+    return _bound("cramer", p, 1, _NOTE_CRAMER, lambda b: (
+        b.ln_m_upper - math.log(2.0) if b.step == 2 else 2.0 * b.ln_m_upper))
+
+
+def _carleman(p: ProductSpec) -> CriterionReport:
+    b = _moment_bounds(p)
+    limit = 2 // b.step
+    at_most, status, caveat = b.against(limit)
+    classification = "boundary" if at_most is None else {
+        HOLDS: "divergent", FAILS: "convergent"}.get(status, "unclassified")
+    return CriterionReport("carleman", status,
+                           {**b.evidence(limit), "case": STIELTJES if b.step == 1 else HAMBURGER,
+                            "classification": classification},
+                           (_NOTE_MOMENTS, _NOTE_CARLEMAN, *caveat, _NOTE_CARLEMAN_NECESSARY))
+
+
+def krein_closed_form(d: DistributionSpec) -> CriterionReport:
+    """Krein's logarithmic integral of a factor's density, classified in
+    closed form: finite iff beta < 1/2 for GG and beta < 1 for DGG, compared
+    with the exact beta when it is given; never finite for IG.  Status
+    ``holds`` means finite, which proves indeterminacy."""
+    if d.family == IG:
+        finite, edge = False, None
+    else:
+        # beta < 1/2 as 2 beta < 1: exact for a Fraction and for a float
+        scale = 2 if d.family == GG else 1
+        finite = scale * (d.beta if d.beta_exact is None else d.beta_exact) < 1
+        edge = 1.0 / scale
+    return CriterionReport(
+        criterion="krein",
+        status=HOLDS if finite else FAILS,
+        evidence={"classification": "finite" if finite else "infinite", "case": d.support,
+                  "family": d.family, "beta": None if edge is None else d.beta, "edge": edge,
+                  "exact_boundary_arithmetic": d.family == IG or d.beta_exact is not None},
+        notes=(_NOTE_KREIN_FORMS, KREIN_THEOREM_NOTE),
+    )
+
+
+def _single_factor(name: str, check):
+    def run(p: ProductSpec) -> CriterionReport:
+        if len(p.factors) != 1:
+            raise ValueError(f"the {name} criterion needs a single-factor spec "
+                             "(no closed-form product density)")
+        return check(p.factors[0])
+    return run
+
+
+# criterion name -> its closed form on a product spec, in the CLI's order
+SPEC_CRITERIA = {"growth": _growth, "ratio": _ratio, "hardy": _hardy, "cramer": _cramer,
+                 "carleman": _carleman, "krein": _single_factor("krein", krein_closed_form),
+                 "lin": _single_factor("lin", condition_L_check)}
+
+
+def spec_criterion(p: ProductSpec, name: str) -> CriterionReport:
+    """The named criterion on a product spec, from the closed forms above
+    and ``criteria.condition_L_check``, with math calls only: no moment
+    sequence is fitted and no integral is taken.  Krein and Lin need a
+    single factor; Hardy a half-line product."""
+    return SPEC_CRITERIA[name](p)
 
 
 # ---------------------------------------------------------------------------

@@ -686,19 +686,32 @@ def log_decreasing_from(d: DistributionSpec) -> float:
 
 
 def lin_L(d: DistributionSpec, x):
-    """L(x) = -x f'(x)/f(x) for x > 0, in closed form per family."""
+    """L(x) = -x f'(x)/f(x) for x > 0, in closed form per family.  A float x
+    is evaluated with Python floats, inf where L passes the float range, and
+    loads no NumPy; anything else as an array."""
+    if isinstance(x, float):
+        x = float(x)                                # an np.float64 as a Python float
+        if not x > 0.0:
+            raise ValueError("lin_L requires x > 0")
+        try:
+            return _lin_L(d, x)
+        except OverflowError:                       # x^beta: L is +inf
+            return math.inf
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("lin_L requires x > 0")
+    out = _lin_L(d, x)
+    return float(out) if out.ndim == 0 else out
+
+
+def _lin_L(d: DistributionSpec, x):
     if d.family == IG:
         try:
             rise = d.lam * x / (2.0 * d.mu ** 2)
-        except OverflowError:                       # mu^2 past the float range
+        except (OverflowError, ZeroDivisionError):  # mu^2 out of the float range
             rise = d.lam * x / (2.0 * d.mu) / d.mu
-        out = 1.5 + rise - d.lam / (2.0 * x)
-    else:
-        out = (1.0 - d.gamma) + d.alpha * d.beta * x ** d.beta
-    return float(out) if out.ndim == 0 else out
+        return 1.5 + rise - d.lam / (2.0 * x)
+    return (1.0 - d.gamma) + d.alpha * d.beta * x ** d.beta
 
 
 def lin_L_numeric(log_dens, x):

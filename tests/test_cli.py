@@ -253,8 +253,9 @@ class TestConfig:
         code, out = run_cli("analyze", spec)
         assert code == cli.EXIT_MDET
         assert not set(json.loads(out)) & {"seed", "n", "kmax", "k_horizon", "x0"}
+        # the closed form on a spec reads no moment horizon either
         _, out = run_cli("criterion", "growth", spec)
-        assert json.loads(out)["evidence"]["k_max"] == criteria.DEFAULT_K_HORIZON
+        assert not set(json.loads(out)["evidence"]) & {"seed", "n", "kmax", "k_max"}
         assert set(cli.SETTINGS) == {"seed", "mc", "kmax"}
 
     @pytest.mark.parametrize("name", cli.CRITERION_NAMES)
@@ -315,6 +316,25 @@ class TestCriterion:
         doc = json.loads(out)
         assert doc["evidence"]["classification"] == "finite"
 
+    def test_krein_counterexample_echoes_the_default_delta(self):
+        code, out = run_cli("criterion", "krein", "--counterexample", "hamburger")
+        assert code == cli.EXIT_HOLDS
+        assert json.loads(out)["input"] == {"counterexample": "hamburger", "delta": 2.0}
+
+    @pytest.mark.parametrize("spec_doc", [{"factors": [{"family": "exp"}]}, {"factors": []}])
+    def test_spec_and_counterexample_exclude_each_other(self, tmp_path, capsys, spec_doc):
+        # a valid spec is not ignored, and an invalid one not skipped unparsed
+        spec = write_spec(tmp_path, spec_doc)
+        code, out = run_cli("criterion", "krein", spec, "--counterexample", "stieltjes")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "exclude each other" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", cli.CRITERION_NAMES)
+    def test_delta_without_counterexample_rejected(self, exp_spec, capsys, name):
+        code, out = run_cli("criterion", name, exp_spec, "--delta", "3")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "--delta applies to --counterexample only" in capsys.readouterr().err
+
     def test_krein_counterexample_bad_delta(self, capsys):
         code, _ = run_cli("criterion", "krein", "--counterexample", "stieltjes",
                           "--delta", "1.0")
@@ -349,10 +369,11 @@ class TestCriterion:
 
     @pytest.mark.parametrize("name", ["lin", "krein"])
     def test_ig_with_mu_squared_past_the_float_range(self, tmp_path, name):
-        # mu^2 = 1e400 overflows in the closed forms of L and the density
+        # mu^2 = 1e400 overflows in the closed form of L; Condition L holds,
+        # and the Krein integral of an IG density is infinite
         spec = write_spec(tmp_path, {"factors": [{"family": "IG", "mu": 1e200, "lambda": 1}]})
         code, out = run_cli("criterion", name, spec)
-        assert code == cli.EXIT_HOLDS
+        assert code == {"lin": cli.EXIT_HOLDS, "krein": cli.EXIT_FAILS}[name]
         assert json.loads(out)["name"] == name
 
     def test_lin_requires_single_factor(self, exp_normal_spec, capsys):
@@ -529,18 +550,25 @@ RUN_CLI_AND_REPORT_IMPORTS = (
     (("analyze",), "det", "0 False False"),
     (("analyze",), "indet", "10 False False"),
     (("analyze",), "band", "20 False False"),
-    # the Lin check takes the power slope of L on a NumPy grid
-    (("criterion", "lin"), "single", "0 False True"),
+    # every criterion on a spec is a closed form made of math calls
+    (("criterion", "lin"), "single", "0 False False"),
     # the ratio route certifies its rates with math calls
     (("analyze", "--ratio"), "indet", "10 False False"),
     (("analyze",), "slow", "10 False False"),
+    *((("criterion", name), "single", f"{10 if name == 'krein' else 0} False False")
+      for name in cli.CRITERION_NAMES if name != "lin"),
+    (("criterion", "hardy"), "indet", "10 False False"),
+    (("criterion", "carleman"), "band", "20 False False"),
+    # the Krein ladder of a witness integrates with SciPy
+    (("criterion", "krein", "--counterexample", "stieltjes"), None, "0 True True"),
 ])
 def test_commands_load_scipy_special_only_where_a_special_function_runs(
         tmp_path, argv, spec, expected):
     # a decision needs the exponent sum and closed-form certificates made of
-    # math calls: it loads neither NumPy nor scipy.special; the Lin check is
-    # a closed form that loads NumPy only
+    # math calls: it loads neither NumPy nor scipy.special, and neither does
+    # a criterion on a spec
     specs = {
+        None: None,
         "det": str(GOLDEN / "light.json"),
         "indet": str(GOLDEN / "product.json"),
         # 1/2 + 1/2.0001 is a float sum inside the boundary band of 1
@@ -553,7 +581,8 @@ def test_commands_load_scipy_special_only_where_a_special_function_runs(
         "slow": write_spec(tmp_path, {"factors": [
             {"family": "GG", "alpha": 1, "beta": "1/20", "gamma": 1}]}, "slow.json"),
     }
-    out = subprocess.run([sys.executable, "-c", RUN_CLI_AND_REPORT_IMPORTS, *argv, specs[spec]],
+    out = subprocess.run([sys.executable, "-c", RUN_CLI_AND_REPORT_IMPORTS, *argv,
+                          *filter(None, [specs[spec]])],
                          env=src_env(), capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == expected
 

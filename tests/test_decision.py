@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -724,10 +725,11 @@ RATIO_FACTORS = st.one_of(*(st.builds(make, _WIDE, _RATIO_BETAS, _SHAPES[2])
                           st.builds(dist.ig, _WIDE, _WIDE))
 
 
-def _mp_log_moments(d, k_max):
-    """ln m_0 .. ln m_kmax with 50 digits: the GG/DGG closed form (even orders
-    for DGG), the IG three-term recurrence in exact positive terms."""
-    with mpmath.workdps(50):
+def _mp_log_moments(d, k_max, extra=0):
+    """ln m_0 .. ln m_kmax with 50 digits, and ``extra`` more: the GG/DGG
+    closed form (even orders for DGG), the IG three-term recurrence in exact
+    positive terms."""
+    with mpmath.workdps(50 + extra):
         if d.family == dist.IG:
             mu, lam = mpmath.mpf(d.mu), mpmath.mpf(d.lam)
             m = [mpmath.mpf(1), mu]
@@ -1041,3 +1043,191 @@ def test_indet_decision_loads_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "M-indet M-det inconclusive []"
+
+
+# ---------------------------------------------------------------------------
+# the criteria on a spec, in closed form
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@given(factors=st.lists(RATIO_FACTORS, min_size=1, max_size=3))
+@example(factors=[EXP])
+@example(factors=[dist.ig(1e300, 1e-300)])
+@example(factors=[dist.ig(1e-300, 1e300), dist.dgg(1e300, 30, 100)])
+@example(factors=[dist.gg(1e-300, 0.03, 0.01), dist.half_normal()])
+@example(factors=[dist.gg(1, "1/2", 1), IG11])
+# gamma/beta past math.lgamma's range: below the least float, and above 2.5e305
+@example(factors=[dist.gg(1, 1e300, 1e-30)])
+@example(factors=[dist.dgg(1e-300, 2e300, 1e-20), EXP])
+@example(factors=[dist.gg(1, 1, 1e306), dist.gg(1e300, "1/3", 7)])
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_moment_constants_hold_against_mpmath(factors):
+    """Every constant of the closed-form criteria holds, with no tolerance,
+    against 50-digit moments at every order up to 200: ln m_(js) within
+    r ln j! + j ln M_lower and r ln j! + j ln M_upper, the summed ratio
+    constants, and Hardy's and Cramer's c0 where they hold.  The scales
+    alpha, mu and lam cover [1e-300, 1e300]."""
+    p = P(factors)
+    b = dec._moment_bounds(p)
+    assert b.finite, str(p)
+    step = b.step
+    # Gamma at (gamma + k)/beta tells the orders apart with as many more digits as gamma/beta has
+    columns = [_mp_log_moments(d, 200, max(0, int(math.log10(d.gamma) - math.log10(d.beta))))
+               if d.family != dist.IG else _mp_log_moments(d, 200) for d in factors]
+    hardy = dec.spec_criterion(p, "hardy") if step == 1 else None
+    cramer = dec.spec_criterion(p, "cramer")
+    with mpmath.workdps(50):
+        ln_m = [mpmath.fsum(col) for col in zip(*columns)]
+        r, lo, up = (mpmath.mpf(v) for v in (b.rate, b.ln_m_lower, b.ln_m_upper))
+        for j in range(1, 200 // step + 1):
+            ln_fact = mpmath.loggamma(j + 1)
+            assert r * ln_fact + j * lo <= ln_m[j * step] <= r * ln_fact + j * up, (str(p), j)
+            if j < 200 // step:
+                ln_ratio = ln_m[(j + 1) * step] - ln_m[j * step] - r * mpmath.log(j + 1)
+                assert b.c_lo <= ln_ratio <= b.c_up, (str(p), j)
+        for rep, orders in ((hardy, range(1, 201)), (cramer, range(2, 201, 2))):
+            if rep is not None and rep.holds:
+                ln_c0 = mpmath.mpf(rep.evidence["ln_c0"])
+                assert mpmath.mpf(rep.evidence["c0"]) >= mpmath.exp(ln_c0), str(p)
+                for k in orders:
+                    half = k if rep.criterion == "hardy" else k // 2
+                    assert ln_m[k] <= half * ln_c0 + mpmath.loggamma(2 * half + 1), (str(p), k)
+
+
+def test_hardy_fails_where_the_fit_held():
+    # the fit at K = 200 read m_k <= c0^k (2k)! for GG(1, 2/5, 10), whose
+    # moments grow like k^(2.5 k): the exponent sum 5/2 decides
+    p = P([dist.gg(1, "2/5", 10)])
+    rep = dec.spec_criterion(p, "hardy")
+    assert rep.status == cr.FAILS and rep.evidence["c0"] is None
+    assert rep.evidence["exponent_sum"] == 2.5 and rep.evidence["exact_boundary_arithmetic"]
+    assert dec.decide_product(p).conclusion == dec.M_INDET
+
+
+@pytest.mark.parametrize("factors,name,status", [
+    ([EXP, EXP], "hardy", cr.HOLDS),                         # S = 2 exactly
+    ([dist.gg(1, "1/2", "1/2")], "hardy", cr.HOLDS),         # m_k = (2k)!
+    ([dist.gg(1, "1/2", 1), IG11], "hardy", cr.FAILS),        # S = 3
+    ([EXP], "cramer", cr.HOLDS),                             # S = 1 exactly, all orders
+    ([NORMAL, NORMAL], "cramer", cr.HOLDS),                  # S = 1 exactly, even orders
+    ([EXP, NORMAL], "cramer", cr.FAILS),                     # S = 3/2
+    ([NORMAL, NORMAL], "carleman", cr.HOLDS),
+    ([EXP, NORMAL], "carleman", cr.FAILS),
+    ([EXP, dist.gg(1, 1.0001234, 1)], "hardy", cr.INCONCLUSIVE),  # float sum in the band
+    ([dist.gg(1, 0.9998765, 1)], "cramer", cr.INCONCLUSIVE),
+])
+def test_threshold_criteria_at_and_near_the_boundary(factors, name, status):
+    rep = dec.spec_criterion(P(factors), name)
+    assert rep.status == status
+    if status == cr.HOLDS and name != "carleman":
+        assert rep.evidence["c0"] > math.exp(rep.evidence["ln_c0"])
+
+
+def test_hardy_needs_a_half_line_product():
+    with pytest.raises(ValueError, match="half-line"):
+        dec.spec_criterion(P([EXP, NORMAL]), "hardy")
+
+
+@pytest.mark.parametrize("d,classification", [
+    (dist.gg(1, 0.45, 1), "finite"), (dist.gg(1, 0.48, 1), "finite"),
+    (dist.gg(1, 0.49, 1), "finite"), (dist.gg(1, 0.495, 1), "finite"),
+    (dist.dgg(1, 0.97, 1), "finite"), (dist.dgg(1, 0.99, 1), "finite"),
+    (dist.gg(1, "1/2", 1), "infinite"), (dist.dgg(1, 1, 1), "infinite"),
+    (dist.ig(1e300, 1e-300), "infinite"), (dist.dgg(1, 2, 1e300), "infinite"),
+    # beta = 0.4999999999999 is the exact 1/2 to the input's precision
+    (dist.gg(1, 0.4999999999999, 1), "infinite"),
+])
+def test_krein_closed_form(d, classification):
+    # every edge case the truncation ladder misread: GG(1, 0.49, 1) and
+    # DGG(1, 0.99, 1) read infinite, IG(1e300, 1e-300) and DGG(1, 2, 1e300)
+    # finite, GG(1, 0.48, 1) and DGG(1, 0.97, 1) inconclusive
+    rep = dec.krein_closed_form(d)
+    assert rep.evidence["classification"] == classification
+    assert rep.status == (cr.HOLDS if classification == "finite" else cr.FAILS)
+    assert cr.KREIN_THEOREM_NOTE in rep.notes
+
+
+# the theorem-implied consistency of the criteria on a spec with its verdict:
+# criterion, the status that implies a conclusion, the conclusion it
+# contradicts.  Hardy's and Cramer's bounds and a divergent Carleman sum
+# imply determinacy (Stoyanov, Counterexamples in Probability, 3rd ed., 2013,
+# section 11), a finite Krein integral indeterminacy (Krein 1945; Pedersen
+# 1998), and an infinite one with Lin's condition determinacy (Lin 1997).
+RELATIONS = {
+    "hardy": (cr.HOLDS, dec.M_INDET),
+    "cramer": (cr.HOLDS, dec.M_INDET),
+    "carleman": (cr.HOLDS, dec.M_INDET),
+    "krein": (cr.HOLDS, dec.M_DET),
+    "krein+lin": (cr.FAILS, dec.M_INDET),
+}
+
+
+def _relation(name, p):
+    """(the report's status, whether it contradicts the verdict) for one
+    relation, or None where it does not apply to the spec."""
+    if name == "hardy" and dist.support_class(p) != dist.STIELTJES:
+        return None
+    if name.startswith("krein") and len(p.factors) != 1:
+        return None
+    status = dec.spec_criterion(p, name.split("+")[0]).status
+    if name == "krein+lin" and dec.spec_criterion(p, "lin").status != cr.HOLDS:
+        return None
+    implying, contradicted = RELATIONS[name]
+    return status, status == implying and dec.decide_product(p).conclusion == contradicted
+
+
+@pytest.mark.parametrize("name", RELATIONS)
+@given(factors=st.lists(ANY_FACTORS, min_size=1, max_size=8))
+@example(factors=[dist.gg(1, "2/5", 10)])
+@example(factors=[dist.gg(1, 0.49, 1)])
+@example(factors=[dist.ig(1e300, 1e-300)])
+@example(factors=[dist.dgg(1, 2, 1e300)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_criterion_contradicts_the_verdict(name, factors):
+    """Over every positive float as a scale or a shape, no conclusive
+    criterion report contradicts ``decide_product``; an inconclusive one is
+    allowed.  The Krein relations take the first factor alone."""
+    if name.startswith("krein"):
+        factors = factors[:1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seen = _relation(name, P(factors))
+    assert seen is None or not seen[1], (name, str(P(factors)))
+
+
+def _benchmark_specs():
+    """benchmarks/specs.py, which builds the decide_mix and fuzz pools."""
+    import importlib.util
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "specs.py"
+    name = "momentdet_bench_specs"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _pool_factor(f):
+    if f["family"] == "IG":
+        return dist.ig(f["mu"], f["lambda"])
+    return (dist.gg if f["family"] == "GG" else dist.dgg)(f["alpha"], f["beta"], f["gamma"])
+
+
+def test_no_criterion_contradicts_the_verdict_on_the_benchmark_pools():
+    """The same relations over the 3,400 decide_mix and fuzz products of
+    seeds 0-9: no contradiction, and each relation concludes on most of the
+    products it applies to (inconclusive reports are counted)."""
+    bench = _benchmark_specs()
+    counts = {name: collections.Counter() for name in RELATIONS}
+    for pool in (bench.decide_mix, bench.fuzz):
+        for seed in range(10):
+            for s in pool(seed):
+                p = P([_pool_factor(f) for f in s.factors])
+                for name in RELATIONS:
+                    seen = _relation(name, p)
+                    if seen is not None:
+                        counts[name][seen[0]] += 1
+                        counts[name]["contradictions"] += seen[1]
+    for name, c in counts.items():
+        assert c["contradictions"] == 0, (name, c)
+        assert c[cr.INCONCLUSIVE] < 0.2 * sum(c[s] for s in (cr.HOLDS, cr.FAILS, cr.INCONCLUSIVE))
