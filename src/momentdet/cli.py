@@ -98,6 +98,20 @@ def _settings(args, overrides: dict) -> dict:
 # ---------------------------------------------------------------------------
 # spec parsing
 
+# family tag -> the keys a factor of that family may hold besides "family";
+# "lam" is an alias of "lambda"
+FACTOR_KEYS = {
+    "gg": ("alpha", "beta", "gamma"),
+    "dgg": ("alpha", "beta", "gamma"),
+    "ig": ("mu", "lambda", "lam"),
+    "exp": ("rate",),
+    "chisq": ("nu",),
+    "normal": (),
+    "halfnormal": (),
+}
+TAG_ALIASES = {"exponential": "exp", "chi-square": "chisq", "chi_square": "chisq",
+               "gaussian": "normal", "half-normal": "halfnormal", "half_normal": "halfnormal"}
+
 
 def _parse_factor(obj: dict, where: str) -> DistributionSpec:
     if not isinstance(obj, dict):
@@ -106,6 +120,15 @@ def _parse_factor(obj: dict, where: str) -> DistributionSpec:
     if family is None:
         raise SpecError(f"{where}.family: missing")
     tag = str(family).lower()
+    tag = TAG_ALIASES.get(tag, tag)
+    if tag not in FACTOR_KEYS:
+        raise SpecError(f"{where}.family: unknown family tag {family!r} "
+                        f"(known: GG, DGG, IG, exp, chisq, normal, halfnormal)")
+    known = ("family", *FACTOR_KEYS[tag])
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise SpecError(f"{where}: unknown key(s) {sorted(unknown)} for family {family!r} "
+                        f"(known: {sorted(known)})")
 
     def need(name, default=None):
         v = obj.get(name, default)
@@ -120,20 +143,15 @@ def _parse_factor(obj: dict, where: str) -> DistributionSpec:
             return dgg(need("alpha"), need("beta"), need("gamma"))
         if tag == "ig":
             return ig(need("mu"), need("lambda", obj.get("lam")))
-        if tag in ("exp", "exponential"):
+        if tag == "exp":
             return exponential(obj.get("rate", 1))
-        if tag in ("chisq", "chi-square", "chi_square"):
+        if tag == "chisq":
             return chi_square(need("nu"))
-        if tag in ("normal", "gaussian"):
-            return std_normal()
-        if tag in ("halfnormal", "half-normal", "half_normal"):
-            return half_normal()
+        return std_normal() if tag == "normal" else half_normal()
     except SpecError:
         raise
     except ValueError as e:
         raise SpecError(f"{where}: {e}") from None
-    raise SpecError(f"{where}.family: unknown family tag {family!r} "
-                    f"(known: GG, DGG, IG, exp, chisq, normal, halfnormal)")
 
 
 def load_spec(path: str) -> tuple[ProductSpec, dict]:
@@ -148,7 +166,7 @@ def load_spec(path: str) -> tuple[ProductSpec, dict]:
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")
     version = doc.get("version", SPEC_VERSION)
-    if version != SPEC_VERSION:
+    if type(version) is not int or version != SPEC_VERSION:   # true and 1.0 equal 1
         raise SpecError(f"unsupported spec version {version!r} (expected {SPEC_VERSION})")
     factors = doc.get("factors")
     if not isinstance(factors, list) or not factors:

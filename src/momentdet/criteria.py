@@ -16,8 +16,7 @@ criterion`` answers from closed forms instead (``decision.spec_criterion``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
     DistributionSpec,
@@ -50,6 +49,10 @@ HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
+# the first note of every growth, ratio, Hardy, Cramer and Carleman report
+ESTIMATE_NOTE = ("the status is a tail-window estimate from the orders given, not a "
+                 "certificate; decision.spec_criterion decides a product spec in closed form")
+
 PARITY_ALL = "all"
 PARITY_EVEN = "even"
 # the reports' name of each moment step
@@ -57,8 +60,7 @@ PARITY = {1: PARITY_ALL, 2: PARITY_EVEN}
 _STEP = {parity: step for step, parity in PARITY.items()}
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     criterion: str
     status: str
     evidence: dict
@@ -77,33 +79,40 @@ class CriterionReport:
         }
 
 
-@dataclass(frozen=True)
-class LogMomentSequence:
-    """k -> ln m_k, exact in log space, at the consecutive multiples step,
-    2 step, ..., k_max of the parity's step: 1 for all orders, 2 for even
-    orders (the vanishing odd moments are never stored).  Product sequences
-    are pointwise sums of their factors'.
-    """
-
+class _LogMomentFields(NamedTuple):
     orders: np.ndarray
     values: np.ndarray
     parity: str
 
-    def __post_init__(self):
-        if self.parity not in _STEP:
-            raise ValueError(f"unknown parity {self.parity!r}")
-        orders = np.asarray(self.orders, dtype=int)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "values", values)
+
+class LogMomentSequence(_LogMomentFields):
+    """k -> ln m_k, exact in log space, at the consecutive multiples step,
+    2 step, ..., k_max of the parity's step: 1 for all orders, 2 for even
+    orders (the vanishing odd moments are never stored).  Product sequences
+    are pointwise sums of their factors'.  Every construction, ``_replace``
+    included, checks the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, orders, values, parity: str) -> "LogMomentSequence":
+        if parity not in _STEP:
+            raise ValueError(f"unknown parity {parity!r}")
+        orders = np.asarray(orders, dtype=int)
+        values = np.asarray(values, dtype=float)
         if orders.shape != values.shape or orders.ndim != 1 or len(orders) < 3:
             raise ValueError("orders/values must be matching 1-d arrays with >= 3 entries")
-        step = self.step
+        step = _STEP[parity]
         if not np.array_equal(orders, np.arange(step, step * len(orders) + 1, step)):
-            raise ValueError(f"{self.parity}-parity orders must be the consecutive "
+            raise ValueError(f"{parity}-parity orders must be the consecutive "
                              f"multiples {step}, {2 * step}, {3 * step}, ... of {step}")
         if not np.all(np.isfinite(values)):
             raise ValueError("every stored ln m_k must be finite")
+        return super().__new__(cls, orders, values, parity)
+
+    @classmethod
+    def _make(cls, iterable) -> "LogMomentSequence":
+        return cls(*iterable)
 
     @property
     def k_max(self) -> int:
@@ -190,8 +199,8 @@ def growth_exponent(s: LogMomentSequence) -> CriterionReport:
     win = s.orders >= K / 2
     direct_max = float(np.max(v[win] / (k[win] * np.log(k[win]))))
     status = HOLDS if rise <= RISE_TOL else INCONCLUSIVE
-    notes = () if status == HOLDS else (
-        f"tail-window estimate still rising by {rise:.4f} per doubling",)
+    notes = (ESTIMATE_NOTE,) if status == HOLDS else (
+        ESTIMATE_NOTE, f"tail-window estimate still rising by {rise:.4f} per doubling")
     return CriterionReport(
         criterion="growth",
         status=status,
@@ -223,8 +232,8 @@ def ratio_rate(s: LogMomentSequence) -> CriterionReport:
     slope = _slope(log_idx[now], log_rho[now])
     rise = slope - _slope(log_idx[prev], log_rho[prev])
     status = HOLDS if abs(rise) <= RISE_TOL else INCONCLUSIVE
-    notes = () if status == HOLDS else (
-        f"ratio-rate slope moved by {rise:.4f} between half-windows",)
+    notes = (ESTIMATE_NOTE,) if status == HOLDS else (
+        ESTIMATE_NOTE, f"ratio-rate slope moved by {rise:.4f} between half-windows")
     return CriterionReport(
         criterion="ratio",
         status=status,
@@ -265,7 +274,7 @@ def _bound_check(criterion: str, orders: np.ndarray, scores: np.ndarray, K: int,
             "trend_per_doubling": tau,
             "k_max": K,
         },
-        notes=(boundary_note,) if status == INCONCLUSIVE else (),
+        notes=(ESTIMATE_NOTE, boundary_note) if status == INCONCLUSIVE else (ESTIMATE_NOTE,),
     )
 
 
@@ -345,6 +354,7 @@ def carleman_quantity(s: LogMomentSequence) -> CriterionReport:
             "classification": classification,
         },
         notes=(
+            ESTIMATE_NOTE,
             "a finite Carleman sum is only necessary for indeterminacy; no "
             "M-indet conclusion can be drawn from this criterion alone",
         ),

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .criteria import (
     FAILS,
@@ -63,8 +62,7 @@ M_INDET = "M-indet"
 BOUNDARY_BAND = 0.005
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     conclusion: str
     rule: str
     side_conditions: tuple[CriterionReport, ...]
@@ -562,8 +560,7 @@ def _log_first_moment(d: DistributionSpec, step: int) -> tuple[float, float]:
     return _outward(lo, size_lo)[0], _outward(hi, size)[1]
 
 
-@dataclass(frozen=True)
-class _MomentBounds:
+class _MomentBounds(NamedTuple):
     """The closed-form moment constants of a product: its moment step s,
     exponent sum S (exact as (num, den) or None), rate r = s S, summed ratio
     constants c_lo and c_up, and moment constants ln M_lower and ln M_upper,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import importlib
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -112,30 +111,59 @@ def _as_param(value: ParamLike, name: str) -> tuple[float, Optional[Fraction]]:
     return x, exact
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable records."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class DistributionSpec:
     """One factor: a tagged family with strictly positive parameters.
 
     ``beta_exact`` keeps the shape exponent as an exact rational when the
     input allows it; the decision engine uses it for sharp threshold
     arithmetic.  All numerics use the float fields.
+
+    An immutable record: a field cannot be assigned, ``_replace`` returns a
+    changed copy, and ``beta_exact`` takes no part in ``==`` or ``hash``.
+    Plain slots rather than a tuple, because a decision reads the fields
+    dozens of times.
     """
 
-    family: str
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    mu: float = 1.0
-    lam: float = 1.0
-    beta_exact: Optional[Fraction] = field(default=None, compare=False)
+    __slots__ = ("family", "alpha", "beta", "gamma", "mu", "lam", "beta_exact")
 
-    def __post_init__(self):
-        if self.family not in (GG, DGG, IG):
-            raise ValueError(f"unknown family {self.family!r}")
-        for name in ("alpha", "beta", "gamma", "mu", "lam"):
-            v = getattr(self, name)
+    def __init__(self, family: str, alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0,
+                 mu: float = 1.0, lam: float = 1.0, beta_exact: Optional[Fraction] = None):
+        if family not in (GG, DGG, IG):
+            raise ValueError(f"unknown family {family!r}")
+        params = (alpha, beta, gamma, mu, lam)
+        for name, v in zip(("alpha", "beta", "gamma", "mu", "lam"), params):
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+        for name, v in zip(self.__slots__, (family, *params, beta_exact)):
+            object.__setattr__(self, name, v)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def _key(self) -> tuple:
+        return self.family, self.alpha, self.beta, self.gamma, self.mu, self.lam
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes) -> "DistributionSpec":
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return type(self)(**fields)
 
     @property
     def support(self) -> str:
@@ -190,17 +218,31 @@ def half_normal() -> DistributionSpec:
     return gg(Fraction(1, 2), 2, 1)
 
 
-@dataclass(frozen=True)
 class ProductSpec:
-    """Ordered list of independent factors."""
+    """Ordered list of independent factors: an immutable record whose
+    ``len`` is the factor count."""
 
-    factors: tuple[DistributionSpec, ...]
+    __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable[DistributionSpec]):
         factors = tuple(factors)
         if not factors:
             raise ValueError("a product needs at least one factor")
         object.__setattr__(self, "factors", factors)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        return self.factors == other.factors if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(factors={self.factors!r})"
+
+    def __reduce__(self):
+        return type(self), (self.factors,)
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
     HAMBURGER,
@@ -182,8 +181,7 @@ def quadrature_log_tail(log_dens: Callable, x: float) -> float:
 # witness densities with slowly log-modulated exponential tails
 
 
-@dataclass(frozen=True)
-class CounterexampleDensity:
+class CounterexampleDensity(NamedTuple):
     """Normalized witness density with tail exp(-x^p / (1 + |ln x|^delta)).
 
     The Stieltjes witness uses p = 1/2 on (0, inf); the Hamburger one is the
@@ -227,8 +225,7 @@ def build_counterexample(case: str, delta: float) -> CounterexampleDensity:
     return CounterexampleDensity(support=support, delta=float(delta), log_norming=-log_z)
 
 
-@dataclass(frozen=True)
-class GrowthBoundReport:
+class GrowthBoundReport(NamedTuple):
     ok: bool
     a: float
     support: str
@@ -274,15 +271,27 @@ class ThetaSplitError(ValueError):
     """Infeasible inputs; the message names the violated inequality."""
 
 
-@dataclass(frozen=True)
-class ThetaSplit:
+class _ThetaSplitFields(NamedTuple):
     thetas: tuple[float, ...]
     support: str
     betas: tuple[float, ...]
 
-    def __post_init__(self):
-        if abs(math.fsum(self.thetas) - 1.0) > 1e-12:
+
+class ThetaSplit(_ThetaSplitFields):
+    """Exponent weights theta_i of the product lower bound; every
+    construction, ``_replace`` included, checks that they sum to 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, thetas: tuple[float, ...], support: str,
+                betas: tuple[float, ...]) -> "ThetaSplit":
+        if abs(math.fsum(thetas) - 1.0) > 1e-12:
             raise ThetaSplitError("thetas must sum to 1")
+        return super().__new__(cls, thetas, support, betas)
+
+    @classmethod
+    def _make(cls, iterable) -> "ThetaSplit":
+        return cls(*iterable)
 
 
 def theta_split(betas: Sequence[float], case: str) -> ThetaSplit:
@@ -359,8 +368,7 @@ def dominating_threshold(b: float, delta: float) -> Optional[float]:
 # Monte Carlo cross-check
 
 
-@dataclass(frozen=True)
-class MCMomentRow:
+class MCMomentRow(NamedTuple):
     k: int
     empirical: float
     analytic: float
@@ -369,8 +377,7 @@ class MCMomentRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(NamedTuple):
     rows: tuple[MCMomentRow, ...]
     n: int
     seed: object

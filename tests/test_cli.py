@@ -91,6 +91,57 @@ class TestAnalyze:
         assert code == cli.EXIT_USAGE
         assert "factors[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor,unknown,known", [
+        ({"family": "GG", "alpha": 1, "beta": 2, "gamma": 1, "mu": 3, "betta": 9},
+         "['betta', 'mu']", "['alpha', 'beta', 'family', 'gamma']"),
+        ({"family": "DGG", "alpha": 1, "beta": 2, "gamma": 1, "beta_exact": "2"},
+         "['beta_exact']", "['alpha', 'beta', 'family', 'gamma']"),
+        ({"family": "IG", "mu": 1, "lambda": 2, "alpha": 1},
+         "['alpha']", "['family', 'lam', 'lambda', 'mu']"),
+        ({"family": "exp", "lambda": 2}, "['lambda']", "['family', 'rate']"),
+        ({"family": "chisq", "nu": 3, "k": 3}, "['k']", "['family', 'nu']"),
+        ({"family": "normal", "sigma": 2}, "['sigma']", "['family']"),
+    ], ids=["gg-typo", "dgg-beta-exact", "ig", "exp", "chisq", "normal"])
+    def test_unknown_factor_key_named(self, tmp_path, capsys, factor, unknown, known):
+        # a key outside the family's parameters is rejected, never ignored
+        spec = write_spec(tmp_path, {"factors": [{"family": "exp"}, factor]})
+        code, out = run_cli("analyze", spec)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert capsys.readouterr().err == (
+            f"momentdet: error: factors[1]: unknown key(s) {unknown} for family "
+            f"{factor['family']!r} (known: {known})\n")
+
+    @pytest.mark.parametrize("factor,field", [
+        ({"family": "GG", "alpha": 1, "gamma": 1}, "beta"),
+        ({"family": "chi-square"}, "nu"),
+        ({"family": "IG", "mu": 1, "lambda": None}, "lambda"),
+    ], ids=["gg", "chisq-alias", "ig-null"])
+    def test_missing_parameter_named(self, tmp_path, capsys, factor, field):
+        spec = write_spec(tmp_path, {"factors": [factor]})
+        assert run_cli("analyze", spec) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            f"momentdet: error: factors[0].{field}: missing for family {factor['family']!r}\n")
+
+    def test_lam_is_an_alias_of_lambda(self, tmp_path):
+        spec = write_spec(tmp_path, {"factors": [{"family": "IG", "mu": 1, "lam": 2}]})
+        code, out = run_cli("analyze", spec)
+        assert code == cli.EXIT_MDET
+        assert json.loads(out)["input"]["factors"] == [{"family": "IG", "mu": 1.0, "lambda": 2.0}]
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, 0, None, [1]])
+    def test_version_other_than_the_int_1_rejected(self, tmp_path, capsys, version):
+        # true and 1.0 compare equal to 1, yet neither is the version 1
+        spec = write_spec(tmp_path, {"version": version, "factors": [{"family": "exp"}]})
+        code, out = run_cli("analyze", spec)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert capsys.readouterr().err == (
+            f"momentdet: error: unsupported spec version {version!r} (expected 1)\n")
+
+    @pytest.mark.parametrize("doc", [{"version": 1}, {}], ids=["one", "absent"])
+    def test_version_1_or_absent_accepted(self, tmp_path, doc):
+        spec = write_spec(tmp_path, {**doc, "factors": [{"family": "exp"}]})
+        assert run_cli("analyze", spec)[0] == cli.EXIT_MDET
+
     def test_parse_error_has_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"factors": [}')
@@ -533,8 +584,20 @@ def test_numpy_and_scipy_load_only_on_first_use():
         assert set(bindings.values()) <= used, f"{path.name} binds a name it never uses"
 
 
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples and slots classes: importing dataclasses
+    # (and with it inspect, ast, dis and tokenize) would cost a cold CLI
+    # process about 12 ms
+    for path in sorted(pathlib.Path(cli.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
+
+
 # runs the CLI as `python -m momentdet.cli` would, then reports the exit code
-# and whether scipy.special and NumPy were loaded
+# and whether scipy.special, NumPy, dataclasses and inspect were loaded
 RUN_CLI_AND_REPORT_IMPORTS = (
     "import runpy, sys\n"
     "sys.argv = ['momentdet'] + sys.argv[1:]\n"
@@ -543,30 +606,35 @@ RUN_CLI_AND_REPORT_IMPORTS = (
     "except SystemExit as e:\n"
     "    code = e.code\n"
     "print(code, 'scipy.special' in sys.modules,\n"
-    "      any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules))\n")
+    "      any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules),\n"
+    "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
+
+LEAN = "False False False False"
 
 
 @pytest.mark.parametrize("argv,spec,expected", [
-    (("analyze",), "det", "0 False False"),
-    (("analyze",), "indet", "10 False False"),
-    (("analyze",), "band", "20 False False"),
+    (("analyze",), "det", f"0 {LEAN}"),
+    (("analyze",), "indet", f"10 {LEAN}"),
+    (("analyze",), "band", f"20 {LEAN}"),
     # every criterion on a spec is a closed form made of math calls
-    (("criterion", "lin"), "single", "0 False False"),
+    (("criterion", "lin"), "single", f"0 {LEAN}"),
     # the ratio route certifies its rates with math calls
-    (("analyze", "--ratio"), "indet", "10 False False"),
-    (("analyze",), "slow", "10 False False"),
-    *((("criterion", name), "single", f"{10 if name == 'krein' else 0} False False")
+    (("analyze", "--ratio"), "indet", f"10 {LEAN}"),
+    (("analyze",), "slow", f"10 {LEAN}"),
+    *((("criterion", name), "single", f"{10 if name == 'krein' else 0} {LEAN}")
       for name in cli.CRITERION_NAMES if name != "lin"),
-    (("criterion", "hardy"), "indet", "10 False False"),
-    (("criterion", "carleman"), "band", "20 False False"),
-    # the Krein ladder of a witness integrates with SciPy
-    (("criterion", "krein", "--counterexample", "stieltjes"), None, "0 True True"),
+    (("criterion", "hardy"), "indet", f"10 {LEAN}"),
+    (("criterion", "carleman"), "band", f"20 {LEAN}"),
+    # the Krein ladder of a witness integrates with SciPy, which loads
+    # dataclasses and inspect itself
+    (("criterion", "krein", "--counterexample", "stieltjes"), None, "0 True True True True"),
 ])
 def test_commands_load_scipy_special_only_where_a_special_function_runs(
         tmp_path, argv, spec, expected):
     # a decision needs the exponent sum and closed-form certificates made of
     # math calls: it loads neither NumPy nor scipy.special, and neither does
-    # a criterion on a spec
+    # a criterion on a spec; the records are plain, so neither loads
+    # dataclasses or inspect either
     specs = {
         None: None,
         "det": str(GOLDEN / "light.json"),

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentdet import criteria as cr
+from momentdet import decision as dec
 from momentdet import distributions as dist
 from momentdet import verify as ver
 
@@ -117,6 +118,41 @@ class TestLogMomentSequence:
         s = seq_of(dist.exponential(), k_max=20)
         with pytest.raises(ValueError, match="horizon"):
             cr.growth_exponent(s)
+
+
+class TestEstimateNotes:
+    SEQUENCE_CHECKS = (cr.growth_exponent, cr.ratio_rate, cr.hardy_check, cr.cramer_check,
+                       cr.carleman_quantity)
+
+    def test_a_fit_that_holds_is_marked_an_estimate(self):
+        # m_k of GG(1, 2/5, 10) grows like k^(2.5 k): the factor is M-indet and
+        # fails Hardy's bound, yet the tail window of orders up to 200 reads
+        # as holding; the report says it is an estimate and where the closed
+        # form is
+        d = dist.gg(1, "2/5", 10)
+        assert dec.decide_single(d).conclusion == dec.M_INDET
+        assert dec.spec_criterion(dist.ProductSpec([d]), "hardy").status == cr.FAILS
+        hardy = cr.hardy_check(seq_of(d))
+        assert hardy.status == cr.HOLDS and hardy.notes == (cr.ESTIMATE_NOTE,)
+        assert "not a certificate" in cr.ESTIMATE_NOTE
+        assert "decision.spec_criterion" in cr.ESTIMATE_NOTE
+
+    @pytest.mark.parametrize("d", [dist.gg(1, "2/5", 10), dist.exponential(), dist.ig(1, 1),
+                                   dist.std_normal()], ids=str)
+    def test_every_sequence_report_leads_with_the_estimate_note(self, d):
+        s = seq_of(d)
+        for check in self.SEQUENCE_CHECKS:
+            if check is cr.hardy_check and s.parity != cr.PARITY_ALL:
+                continue
+            rep = check(s)
+            assert rep.notes[0] == cr.ESTIMATE_NOTE, check.__name__
+            assert cr.ESTIMATE_NOTE not in rep.notes[1:], check.__name__
+
+    def test_inconclusive_fit_keeps_its_own_note(self):
+        # ln m_k = k ln k ln ln k never settles: the rise note follows the estimate note
+        rep = cr.growth_exponent(synthetic(lambda k: k * np.log(k) * np.log(np.log(k + 2.0))))
+        assert rep.status == cr.INCONCLUSIVE
+        assert rep.notes[0] == cr.ESTIMATE_NOTE and "still rising" in rep.notes[1]
 
 
 class TestGrowthExponent:

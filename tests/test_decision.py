@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import json
 import math
@@ -462,7 +461,7 @@ class TestRatioRoute:
 
         def second_fails(d, index, step, rate):
             rep = certify(d, index, step, rate)
-            return dataclasses.replace(rep, status=cr.FAILS) if index == 1 else rep
+            return rep._replace(status=cr.FAILS) if index == 1 else rep
 
         monkeypatch.setattr(dec, "_certify_rate", second_fails)
         v = dec.ratio_route(P([EXP, EXP]))
@@ -868,7 +867,7 @@ def _rescaled(d, t):
             else dict(alpha=math.log(d.alpha) - d.beta * t))
     if not all(_LN_FLOAT_MIN < v < _LN_FLOAT_MAX for v in logs.values()):
         return None
-    return dataclasses.replace(d, **{k: math.exp(v) for k, v in logs.items()})
+    return d._replace(**{k: math.exp(v) for k, v in logs.items()})
 
 
 def test_scale_relation():

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +113,87 @@ class TestSpecsAndAliases:
         assert [thr * t * b for t, b in zip(ts.thetas, betas)] == pytest.approx([0.99, 0.99])
         with pytest.raises(ver.ThetaSplitError, match=rf"sum\(1/beta_i\) > {thr:g}$"):
             ver.theta_split([2.0 / thr] * 2, case)
+
+
+class TestRecords:
+    """The records are plain immutable values: fields, defaults, repr,
+    equality and hash as written, and validation on every construction."""
+
+    def test_beta_exact_takes_no_part_in_equality_or_hash(self):
+        plain = dist.DistributionSpec("GG", beta=0.5)
+        exact = dist.DistributionSpec("GG", beta=0.5, beta_exact=Fraction(1, 2))
+        assert plain == exact and hash(plain) == hash(exact)
+        assert exact == dist.gg(1, "1/2", 1) and exact.beta_exact == Fraction(1, 2)
+        assert plain != dist.DistributionSpec("DGG", beta=0.5)
+        assert plain != dist.DistributionSpec("GG", beta=0.25)
+        assert repr(exact) == ("DistributionSpec(family='GG', alpha=1.0, beta=0.5, gamma=1.0, "
+                               "mu=1.0, lam=1.0, beta_exact=Fraction(1, 2))")
+
+    def test_distribution_spec_checks_every_construction(self):
+        with pytest.raises(ValueError, match="^unknown family 'Cauchy'$"):
+            dist.DistributionSpec("Cauchy")
+        with pytest.raises(ValueError, match="^mu must be a finite positive number, got True$"):
+            dist.DistributionSpec("IG", mu=True)
+        d = dist.gg(2, "1/3", 1)
+        moved = d._replace(alpha=3.0)
+        assert (moved.alpha, moved.beta, moved.beta_exact, d.alpha) == (3.0, 1 / 3, Fraction(1, 3), 2.0)
+        with pytest.raises(ValueError, match="^gamma must be a finite positive number, got inf$"):
+            d._replace(gamma=math.inf)
+        with pytest.raises(TypeError):
+            d._replace(lambda_=1.0)
+
+    def test_product_spec_keeps_len_repr_and_hash(self):
+        f = (dist.ig(1, 2), dist.exponential())
+        p = dist.ProductSpec(iter(f))
+        assert len(p) == 2 and len(dist.ProductSpec(f[:1])) == 1
+        assert p.factors == f
+        assert p == dist.ProductSpec(list(f)) and hash(p) == hash(dist.ProductSpec(list(f)))
+        assert hash(p) == hash((f,))
+        assert repr(p) == f"ProductSpec(factors=({f[0]!r}, {f[1]!r}))"
+        with pytest.raises(ValueError, match="^a product needs at least one factor$"):
+            dist.ProductSpec([])
+
+    def test_copies_are_equal_values(self):
+        p = dist.ProductSpec([dist.gg(2, "1/3", 1), dist.std_normal()])
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and q.factors[0].beta_exact == Fraction(1, 3)
+
+    def test_assigning_a_field_raises(self):
+        p = dist.ProductSpec([dist.exponential()])
+        seq = cr.LogMomentSequence.from_distribution(dist.ig(1, 1), 40)
+        records = [
+            (p.factors[0], "alpha"), (p.factors[0], "beta_exact"), (p, "factors"),
+            (dec.decide_product(p), "conclusion"), (dec.spec_criterion(p, "growth"), "status"),
+            (seq, "parity"), (ver.theta_split([1, 1, 1], "stieltjes"), "thetas"),
+            (ver.MCMomentRow(1, 2.0, 2.0, 0.1, 0.0, True), "ok"),
+        ]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_theta_split_and_sequence_check_every_construction(self):
+        ts = ver.theta_split([1, 1, 1], "stieltjes")
+        with pytest.raises(ver.ThetaSplitError, match="^thetas must sum to 1$"):
+            ver.ThetaSplit(thetas=(0.5, 0.6), support=dist.STIELTJES, betas=(1.0, 1.0))
+        with pytest.raises(ver.ThetaSplitError, match="^thetas must sum to 1$"):
+            ts._replace(thetas=(0.5, 0.5, 0.5))
+        seq = cr.LogMomentSequence.from_distribution(dist.ig(1, 1), 40)
+        with pytest.raises(ValueError, match="^unknown parity 'odd'$"):
+            cr.LogMomentSequence(orders=seq.orders, values=seq.values, parity="odd")
+        with pytest.raises(ValueError, match="^orders/values must be matching 1-d arrays"):
+            cr.LogMomentSequence(orders=[1, 2], values=[0.0, 1.0], parity="all")
+        with pytest.raises(ValueError, match="^even-parity orders must be the consecutive"):
+            seq._replace(parity="even")
+
+    def test_mc_row_repr_keeps_its_text(self):
+        row = ver.MCMomentRow(k=1, empirical=2.5, analytic=2.0, std_error=0.25, z=2.0, ok=True)
+        assert repr(row) == ("MCMomentRow(k=1, empirical=2.5, analytic=2.0, std_error=0.25, "
+                             "z=2.0, ok=True)")
+        assert row._replace(z=-2.0).z == -2.0 and row.z == 2.0
 
 
 class TestDensity:

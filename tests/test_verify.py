@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pathlib
 import warnings
@@ -377,7 +376,7 @@ class TestMCCrossCheck:
         for r, m in zip(rows, mirrored):
             if r.k % 2 == 1:
                 assert r.analytic == 0.0
-                assert m == dataclasses.replace(r, empirical=-r.empirical, z=-r.z), r.k
+                assert m == r._replace(empirical=-r.empirical, z=-r.z), r.k
             else:
                 assert m == r, r.k
 
