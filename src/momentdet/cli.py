@@ -47,6 +47,8 @@ EXIT_INCONCLUSIVE = 20
 EXIT_VERIFY_FAILED = 30
 
 SPEC_VERSION = 1
+# the keys a spec document may hold
+SPEC_KEYS = ("factors", "overrides", "version")
 
 # numerical failures of the oracles, which verify reports and criterion turns
 # into an error naming the witness's delta, never a traceback
@@ -142,6 +144,8 @@ def _parse_factor(obj: dict, where: str) -> DistributionSpec:
         if tag == "dgg":
             return dgg(need("alpha"), need("beta"), need("gamma"))
         if tag == "ig":
+            if "lambda" in obj and "lam" in obj:
+                raise SpecError(f"{where}: 'lam' is an alias of 'lambda'; give one of them")
             return ig(need("mu"), need("lambda", obj.get("lam")))
         if tag == "exp":
             return exponential(obj.get("rate", 1))
@@ -154,17 +158,32 @@ def _parse_factor(obj: dict, where: str) -> DistributionSpec:
         raise SpecError(f"{where}: {e}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object; a key given twice, whose first value json
+    would drop, is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecError(f"duplicate key {key!r} in a spec object")
+        obj[key] = value
+    return obj
+
+
 def load_spec(path: str) -> tuple[ProductSpec, dict]:
     """Parse a product spec file; returns the product and its overrides."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise SpecError(f"cannot read spec file: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"spec parse error at line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")
+    unknown = set(doc) - set(SPEC_KEYS)
+    if unknown:
+        raise SpecError(f"spec document: unknown key(s) {sorted(unknown)} "
+                        f"(known: {sorted(SPEC_KEYS)})")
     version = doc.get("version", SPEC_VERSION)
     if type(version) is not int or version != SPEC_VERSION:   # true and 1.0 equal 1
         raise SpecError(f"unsupported spec version {version!r} (expected {SPEC_VERSION})")

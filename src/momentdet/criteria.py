@@ -28,7 +28,6 @@ from .distributions import (
     lin_L,
     lin_L_numeric,
     log_moment,
-    log_moments,
     moment_threshold,
     support_class,
 )
@@ -132,13 +131,9 @@ class LogMomentSequence(_LogMomentFields):
 
     @classmethod
     def from_product(cls, p: ProductSpec, k_max: int = DEFAULT_K_HORIZON) -> "LogMomentSequence":
-        """The factors' rows of one ``log_moments`` matrix at the product's
-        orders, summed in factor order: ``compose`` of the factors' own
-        sequences, bit for bit."""
-        step = MOMENT_STEP[support_class(p)]
-        orders = np.arange(step, k_max + 1, step)
-        return cls(orders=orders, values=log_moments(p.factors, orders).sum(axis=0),
-                   parity=PARITY[step])
+        """``compose`` of the factors' own sequences at the product's parity."""
+        parity = PARITY[MOMENT_STEP[support_class(p)]]
+        return compose([cls.from_distribution(d, k_max, parity) for d in p.factors])
 
 
 def compose(seqs: Sequence[LogMomentSequence]) -> LogMomentSequence:

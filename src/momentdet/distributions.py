@@ -378,36 +378,24 @@ def log_density_on_support(log_pos, log_at_zero, owner, x, symmetric: bool):
 
 
 def log_moment(d: DistributionSpec, k):
-    """ln E[X^k] in closed form for an order or an array of orders; -inf for
-    the vanishing odd moments of DGG.
+    """ln E[X^k] in closed form for an order or an array of orders (an empty
+    array gives an empty result); -inf for the vanishing odd moments of DGG.
 
-    Orders are a one-row case of ``log_moments``, so a product's matrix, a
-    moment sequence and its single entries agree bit for bit.
+    GG and DGG evaluate one gamma-function expression at every order, IG
+    reads its recurrence, so a single order has the bits of the same order
+    in an array.
     """
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu" or np.any(ks < 1):
         raise ValueError("moment order k must be an integer >= 1")
-    out = log_moments((d,), ks.ravel())[0].reshape(ks.shape)
+    if d.family == IG:
+        out = _ig_log_moments(d, int(ks.max(initial=1)))[ks]
+    else:   # ks / -beta, as -ks wraps an unsigned order around
+        out = (ks / -d.beta) * math.log(d.alpha) + special.gammaln((d.gamma + ks) / d.beta) \
+            - special.gammaln(d.gamma / d.beta)
+        if d.family == DGG:
+            out = np.where(ks % 2 == 1, -np.inf, out)
     return float(out) if ks.ndim == 0 else out
-
-
-def log_moments(factors: tuple[DistributionSpec, ...], ks: np.ndarray) -> np.ndarray:
-    """ln E[X^k] of each factor (rows) at the 1-d orders ks >= 1 (columns):
-    the GG and DGG rows from one expression with their parameters as column
-    vectors, the IG rows from their recurrence."""
-    out = np.empty((len(factors), len(ks)))
-    rows = [i for i, d in enumerate(factors) if d.family != IG]
-    if rows:
-        ln_alpha, beta, gamma, s = np.array([(math.log(d.alpha), d.beta, d.gamma, d.gamma / d.beta)
-                                             for d in [factors[i] for i in rows]]).T[:, :, None]
-        out[rows] = (-ks / beta) * ln_alpha + special.gammaln((gamma + ks) / beta) \
-            - special.gammaln(s)
-    for i, d in enumerate(factors):
-        if d.family == IG:
-            out[i] = _ig_log_moments(d, int(ks.max()))[ks]
-        elif d.family == DGG:
-            out[i, ks % 2 == 1] = -np.inf
-    return out
 
 
 def _ig_log_moments(d: DistributionSpec, k_max: int) -> np.ndarray:

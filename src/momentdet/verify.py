@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .distributions import (
     HAMBURGER,
@@ -50,8 +50,6 @@ _LOG_DENS_CONTRACT = "log_dens must take an array of x and return an array of th
 MC_MIN_SAMPLES = 10 ** 5
 MC_KMAX = 8
 MC_SIGMAS = 4.0
-# dominating_threshold searches u = ln x0 up to this value
-THRESHOLD_U_MAX = 5000.0
 
 
 class QuadratureError(RuntimeError):
@@ -335,33 +333,6 @@ def theta_split(betas: Sequence[float], case: str) -> ThetaSplit:
                 f"theta_{i + 1} * beta_{i + 1} = {t * b:.6g} violates "
                 f"{'2*' if thr == 2.0 else ''}theta_i*beta_i < 1")
     return split
-
-
-# ---------------------------------------------------------------------------
-# misc
-
-
-def dominating_threshold(b: float, delta: float) -> Optional[float]:
-    """Smallest u0 = ln x0 with sqrt(x) > x^(1/b) (1 + |ln x|^delta) for all ln x >= u0.
-
-    Diagnostic for the growth-bound derivation; None if no threshold below
-    e^THRESHOLD_U_MAX exists (the threshold grows explosively as b drops toward 2).
-    A b or delta that is not a finite number raises ``ValueError`` naming it.
-    """
-    for name, value in (("b", b), ("delta", delta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if not b > 2.0:
-        return None
-    gap = 0.5 - 1.0 / b
-    us = np.linspace(1.0, THRESHOLD_U_MAX, 20000)
-    ok = gap * us > np.logaddexp(0.0, delta * np.log(us))   # ln(1 + u^delta)
-    idx = np.nonzero(~ok)[0]
-    if len(idx) == 0:
-        return float(us[0])
-    if idx[-1] == len(us) - 1:
-        return None
-    return float(us[idx[-1] + 1])
 
 
 # ---------------------------------------------------------------------------

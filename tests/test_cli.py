@@ -128,6 +128,36 @@ class TestAnalyze:
         assert code == cli.EXIT_MDET
         assert json.loads(out)["input"]["factors"] == [{"family": "IG", "mu": 1.0, "lambda": 2.0}]
 
+    def test_lambda_and_lam_together_rejected(self, tmp_path, capsys):
+        # either spelling alone is lambda; both at once would drop one value
+        spec = write_spec(tmp_path, {"factors": [
+            {"family": "exp"}, {"family": "IG", "mu": 1, "lambda": 2, "lam": 5}]})
+        assert run_cli("analyze", spec) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "momentdet: error: factors[1]: 'lam' is an alias of 'lambda'; give one of them\n")
+
+    def test_unknown_top_level_key_named(self, tmp_path, capsys):
+        # a misspelt "overrides" would otherwise drop every setting in it
+        spec = write_spec(tmp_path, {"version": 1, "factors": [{"family": "exp"}],
+                                     "overides": {"seed": -5}})
+        assert run_cli("analyze", spec) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "momentdet: error: spec document: unknown key(s) ['overides'] "
+            "(known: ['factors', 'overrides', 'version'])\n")
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"factors": [{"family": "exp"}], "factors": [{"family": "normal"}]}', "factors"),
+        ('{"factors": [{"family": "GG", "alpha": 1, "beta": 2, "gamma": 1, "beta": 3}]}', "beta"),
+        ('{"factors": [{"family": "exp"}], "overrides": {"seed": 1, "seed": 2}}', "seed"),
+    ], ids=["top-level", "factor", "overrides"])
+    def test_duplicate_key_named(self, tmp_path, capsys, text, key):
+        # JSON would keep the last of two equal keys and drop the first unseen
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        assert run_cli("analyze", str(path)) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            f"momentdet: error: duplicate key {key!r} in a spec object\n")
+
     @pytest.mark.parametrize("version", [True, 1.0, "1", 2, 0, None, [1]])
     def test_version_other_than_the_int_1_rejected(self, tmp_path, capsys, version):
         # true and 1.0 compare equal to 1, yet neither is the version 1

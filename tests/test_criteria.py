@@ -104,8 +104,8 @@ class TestLogMomentSequence:
              k_max=200)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_from_product_is_compose(self, factors, k_max):
-        # one log-moment matrix, its rows summed in factor order, has the bits
-        # of composing the factors' own sequences at the product's parity
+        # a product's sequence has the bits of composing the factors' own
+        # sequences at the product's parity
         p = dist.ProductSpec(factors)
         parity = cr.PARITY[dist.MOMENT_STEP[dist.support_class(p)]]
         s = cr.LogMomentSequence.from_product(p, k_max)

@@ -1,5 +1,6 @@
 import copy
 import math
+import pathlib
 import pickle
 import warnings
 from fractions import Fraction
@@ -13,6 +14,8 @@ from momentdet import criteria as cr
 from momentdet import decision as dec
 from momentdet import distributions as dist
 from momentdet import verify as ver
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def logf(d):
@@ -251,6 +254,29 @@ class TestDensity:
             assert total == pytest.approx(1.0, abs=1e-8), str(d)
 
 
+PINNED_MOMENT_ORDERS = (1, 2, 3, 7, 50, 200)
+PINNED_MOMENT_FACTORS = {
+    "GG(1,1,1)": dist.gg(1, 1, 1),
+    "GG(1,1/3,1)": dist.gg(1, "1/3", 1),
+    "GG(0.5,2,3.1)": dist.gg(0.5, 2, 3.1),
+    "GG(1e-3,1/50,100)": dist.gg(1e-3, "1/50", 100),
+    "DGG(1/2,2,1)": dist.std_normal(),
+    "DGG(2,1/2,3)": dist.dgg(2, "1/2", 3),
+    "DGG(0.7,0.45,2.2)": dist.dgg(0.7, 0.45, 2.2),
+    "IG(1,1)": dist.ig(1, 1),
+    "IG(0.13,6.6)": dist.ig(0.13, 6.6),
+    "IG(1e150,1e-150)": dist.ig(1e150, 1e-150),
+    "IG(1e-200,1e200)": dist.ig(1e-200, 1e200),
+}
+# name -> (factors, k_max, parity): a Stieltjes, a Hamburger and a Mixed product
+PINNED_PRODUCTS = {
+    "Exp*IG(2,1) K=41": ([dist.exponential(), dist.ig(2, 1)], 41, "all"),
+    "Normal*DGG(2,1/2,3) K=199": ([dist.std_normal(), dist.dgg(2, "1/2", 3)], 199, "even"),
+    "HalfNormal*Normal*IG(0.13,6.6) K=200":
+        ([dist.half_normal(), dist.std_normal(), dist.ig(0.13, 6.6)], 200, "even"),
+}
+
+
 class TestMoments:
     def test_exponential_factorials(self):
         e = dist.exponential()
@@ -276,6 +302,41 @@ class TestMoments:
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
             dist.log_moment(dist.exponential(), 0)
+
+    @pytest.mark.parametrize("d", [dist.gg(2, 3, 1), dist.dgg(2, "1/2", 3), dist.ig(1, 1)],
+                             ids=["GG", "DGG", "IG"])
+    def test_empty_orders_give_an_empty_result(self, d):
+        out = dist.log_moment(d, np.array([], dtype=int))
+        assert out.shape == (0,) and out.dtype == float
+        assert dist.log_moment(d, np.empty((3, 0), dtype=int)).shape == (3, 0)
+
+    @pytest.mark.parametrize("d", [dist.gg(2, 3, 1), dist.dgg(2, "1/2", 3), dist.ig(1, 1)],
+                             ids=["GG", "DGG", "IG"])
+    def test_unsigned_orders_are_orders(self, d):
+        # -k of an unsigned k wraps around; the closed form never negates k
+        ks = np.arange(1, 9)
+        expected = dist.log_moment(d, ks).tobytes()
+        assert dist.log_moment(d, ks.astype(np.uint64)).tobytes() == expected
+        assert [dist.log_moment(d, np.uint8(k)) for k in ks] == dist.log_moment(d, ks).tolist()
+
+    def test_values_pinned(self):
+        # fixtures/log_moment_values.tsv was written by an earlier multi-factor
+        # moment matrix; the scalar route, the array route and from_product
+        # keep its bits
+        with open(FIXTURES / "log_moment_values.tsv") as fh:
+            assert next(fh).rstrip("\n").split("\t") == ["case", "repr"]
+            pinned = dict(line.rstrip("\n").split("\t") for line in fh)
+        assert sorted(pinned) == sorted(
+            [f"{name} k={k}" for name in PINNED_MOMENT_FACTORS for k in PINNED_MOMENT_ORDERS]
+            + [f"{name} {parity}" for name, (_, _, parity) in PINNED_PRODUCTS.items()])
+        for name, d in PINNED_MOMENT_FACTORS.items():
+            array = dist.log_moment(d, np.array(PINNED_MOMENT_ORDERS)).tolist()
+            for k, a in zip(PINNED_MOMENT_ORDERS, array):
+                assert repr(dist.log_moment(d, k)) == repr(a) == pinned[f"{name} k={k}"]
+        for name, (factors, k_max, parity) in PINNED_PRODUCTS.items():
+            s = cr.LogMomentSequence.from_product(dist.ProductSpec(factors), k_max)
+            assert s.parity == parity
+            assert " ".join(map(repr, s.values.tolist())) == pinned[f"{name} {parity}"], name
 
     def test_oracle_agreement_sample(self, family_sample):
         worst = 0.0

@@ -283,43 +283,6 @@ class TestThetaSplit:
             assert scale * t * b < 1.0 - 1e-9
 
 
-class TestDominatingThreshold:
-    def test_moderate_gap(self):
-        u0 = ver.dominating_threshold(2.25, 2.0)
-        assert u0 is not None
-        # sqrt(x) > x^(1/b) (1 + ln^2 x) from ln x = u0 onward
-        for u in np.linspace(u0, u0 + 50, 20):
-            assert (0.5 - 1 / 2.25) * u > math.log1p(u ** 2.0)
-
-    def test_vanishing_gap(self):
-        assert ver.dominating_threshold(2.001, 2.0) is None
-
-    def test_below_two(self):
-        assert ver.dominating_threshold(1.5, 2.0) is None
-
-    @pytest.mark.parametrize("b, delta, name", [
-        (math.nan, 2.0, "b"), (3.0, math.nan, "delta"), (math.inf, 2.0, "b"),
-    ])
-    def test_non_finite_named(self, b, delta, name):
-        # a nan b is not "below two", and a nan delta does not reach logaddexp
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
-                ver.dominating_threshold(b, delta)
-
-    @pytest.mark.parametrize("b, delta, u0", [
-        (3.0, 2.0, 45.99324966248312),
-        (4.0, 1.5, 17.247562378118907),
-        # u^delta passes the float range on these two; ln(1 + u^delta) does not
-        (100.0, 100.0, 1491.5263763188161),
-        (1000.0, 150.0, 2330.900445022251),
-    ])
-    def test_threshold_values(self, b, delta, u0):
-        assert ver.dominating_threshold(b, delta) == u0
-        for u in np.linspace(u0, u0 + 50, 20):
-            assert (0.5 - 1 / b) * u > delta * math.log(u) + math.log1p(u ** -delta)
-
-
 class TestMCCrossCheck:
     def test_pair_of_exponentials(self):
         p = dist.ProductSpec([dist.exponential(), dist.exponential()])
