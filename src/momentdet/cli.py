@@ -23,7 +23,6 @@ from .distributions import (
     MOMENT_STEP,
     DistributionSpec,
     ProductSpec,
-    _OnFirstUse,
     chi_square,
     dgg,
     exponential,
@@ -34,8 +33,6 @@ from .distributions import (
     log_moment,
     std_normal,
 )
-
-np = _OnFirstUse(globals(), "np", "numpy")
 
 EXIT_MDET = 0
 EXIT_HOLDS = 0
@@ -226,12 +223,11 @@ def _strict(o):
 
 
 def _emit(args, inputs: dict, body: dict) -> None:
-    """Write the common header and the command's fields; NumPy scalars as Python values."""
+    """Write the common header and the command's fields."""
     report = {"tool": "momentdet", "tool_version": __version__, "command": args.command,
               "input": inputs, **body}
     layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
-    sys.stdout.write(json.dumps(_strict(report), sort_keys=True, allow_nan=False,
-                                default=lambda o: o.item(), **layout) + "\n")
+    sys.stdout.write(json.dumps(_strict(report), sort_keys=True, allow_nan=False, **layout) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def cmd_verify(args) -> int:
         try:
             for k in range(step, 13, step):
                 q = verify_mod.quadrature_log_moment(lambda x: log_density(d, x), d.support, k)
-                rel = abs(np.expm1(q - log_moment(d, k)))
+                rel = abs(math.expm1(q - log_moment(d, k)))
                 worst = max(worst, rel)
         except NUMERICAL_FAILURES as e:
             failures.append(f"oracle failed on factor {i} at k={k}: {type(e).__name__}: {e}")

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .distributions import (
     DistributionSpec,
     HAMBURGER,
+    IG,
     MOMENT_STEP,
     ProductSpec,
     STIELTJES,
@@ -97,7 +98,7 @@ class LogMomentSequence(_LogMomentFields):
     def __new__(cls, orders, values, parity: str) -> "LogMomentSequence":
         if parity not in _STEP:
             raise ValueError(f"unknown parity {parity!r}")
-        orders = np.asarray(orders, dtype=int)
+        orders = np.asarray(orders)
         values = np.asarray(values, dtype=float)
         if orders.shape != values.shape or orders.ndim != 1 or len(orders) < 3:
             raise ValueError("orders/values must be matching 1-d arrays with >= 3 entries")
@@ -107,7 +108,7 @@ class LogMomentSequence(_LogMomentFields):
                              f"multiples {step}, {2 * step}, {3 * step}, ... of {step}")
         if not np.all(np.isfinite(values)):
             raise ValueError("every stored ln m_k must be finite")
-        return super().__new__(cls, orders, values, parity)
+        return super().__new__(cls, orders.astype(int, copy=False), values, parity)
 
     @classmethod
     def _make(cls, iterable) -> "LogMomentSequence":
@@ -458,62 +459,52 @@ def krein_quantity(log_dens: Callable, case: str,
 LIN_GRID_POINTS = 240
 
 
-def condition_L_check(obj, x0: float = 1.0, symmetric: Optional[bool] = None) -> CriterionReport:
+def condition_L_check(obj, x0: float = 1.0) -> CriterionReport:
     """Is L(x) = -x f'(x)/f(x) nondecreasing and unbounded beyond x0?
 
     For a DistributionSpec this holds in closed form: L = (1-gamma) +
     alpha beta x^beta for GG and DGG, L = 3/2 + lam x/(2 mu^2) - lam/(2x) for
-    IG, both increasing and unbounded.  Its values on a geometric grid of
-    LIN_GRID_POINTS points over four decades from x0 are kept as evidence,
-    computed with math calls.  A log-density callable is tested numerically
-    (central differences) on the same grid: the growth test accepts either a
-    large absolute climb or clear power-law growth of L on the last decade.
+    IG, increasing and unbounded, of power beta and 1: the report gives L at
+    x0 and 1e4 x0 and that power, and samples nothing.  A log-density callable
+    or a witness is tested numerically (central differences) on a geometric
+    grid of LIN_GRID_POINTS points over those four decades: the growth test
+    accepts either a large absolute climb or clear power-law growth of L on
+    the last decade.  A density is symmetric when its support class is
+    Hamburger; a bare callable counts as one-sided.
     """
-    closed_form = isinstance(obj, DistributionSpec)
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"x0 must be finite and positive, got {x0!r}")
     lo, hi = x0 * 1.0000001, x0 * 1e4
-    last = LIN_GRID_POINTS - 1
-    grid = [lo * (hi / lo) ** (i / last) for i in range(last)] + [hi]
-    if closed_form:
-        L = [lin_L(obj, x) for x in grid]
-        symmetric = obj.support == HAMBURGER
-        label = str(obj)
+    if isinstance(obj, DistributionSpec):
+        first, last = lin_L(obj, lo), lin_L(obj, hi)
+        climb = math.inf if last == math.inf else last - first
+        slope, monotone, label = 1.0 if obj.family == IG else obj.beta, True, str(obj)
+        status, notes = HOLDS, ("L is increasing and unbounded in closed form, growing like "
+                                "x^power_slope; L_first and L_last are its values at x0 and 1e4 x0",)
     else:
-        log_dens = obj.log_density if hasattr(obj, "log_density") else obj
+        n = LIN_GRID_POINTS - 1
+        grid = [lo * (hi / lo) ** (i / n) for i in range(n)] + [hi]
         with np.errstate(all="ignore"):
-            L = lin_L_numeric(log_dens, np.array(grid)).tolist()
-        symmetric = bool(symmetric)
-        label = "numeric"
-    finite = all(map(math.isfinite, L))
-    if not (finite or closed_form):
-        raise ValueError("L is not finite on the test grid")
-    scale = max(map(abs, L)) or 1.0
-    monotone = all(b - a >= -1e-9 * scale for a, b in zip(L, L[1:]))
-    climb = L[-1] - L[0]
-    decade = [(x, v) for x, v in zip(grid, L) if x >= hi / 10.0]
-    slope = None
-    if finite and all(v > 0.0 for _, v in decade):
-        slope = _slope([math.log(x) for x, _ in decade], [math.log(v) for _, v in decade])
-    evidence = {
-        "x0": float(x0),
-        "L_first": L[0],
-        "L_last": L[-1],
-        "climb": climb,
-        "power_slope": slope,
-        "monotone": monotone,
-        "symmetric": symmetric,
-        "density": label,
-    }
-    if closed_form:
-        return CriterionReport("lin", HOLDS, evidence,
-                               ("L is increasing and unbounded in closed form; "
-                                "the grid values are evidence only",))
-    if not monotone:
-        return CriterionReport("lin", FAILS, evidence,
-                               ("L is not nondecreasing on the tested range",))
-    if climb > 1e3 or (slope is not None and slope >= 0.1):
-        return CriterionReport("lin", HOLDS, evidence)
-    if slope is not None and slope < 0.01:
-        return CriterionReport("lin", FAILS, evidence,
-                               ("L is monotone but levels off to a bounded limit",))
-    return CriterionReport("lin", INCONCLUSIVE, evidence,
-                           ("L is monotone but bounded-looking on the tested range",))
+            L = lin_L_numeric(getattr(obj, "log_density", obj), np.array(grid)).tolist()
+        if not all(map(math.isfinite, L)):
+            raise ValueError("L is not finite on the test grid")
+        scale = max(map(abs, L)) or 1.0
+        monotone = all(b - a >= -1e-9 * scale for a, b in zip(L, L[1:]))
+        first, last = L[0], L[-1]
+        climb = last - first
+        decade = [(x, v) for x, v in zip(grid, L) if x >= hi / 10.0]
+        slope, label = None, "numeric"
+        if all(v > 0.0 for _, v in decade):
+            slope = _slope([math.log(x) for x, _ in decade], [math.log(v) for _, v in decade])
+        if not monotone:
+            status, notes = FAILS, ("L is not nondecreasing on the tested range",)
+        elif climb > 1e3 or (slope is not None and slope >= 0.1):
+            status, notes = HOLDS, ()
+        elif slope is not None and slope < 0.01:
+            status, notes = FAILS, ("L is monotone but levels off to a bounded limit",)
+        else:
+            status, notes = INCONCLUSIVE, ("L is monotone but bounded-looking on the tested range",)
+    evidence = {"x0": float(x0), "L_first": first, "L_last": last, "climb": climb,
+                "power_slope": slope, "monotone": monotone,
+                "symmetric": getattr(obj, "support", None) == HAMBURGER, "density": label}
+    return CriterionReport("lin", status, evidence, notes)

@@ -90,10 +90,17 @@ def exact_rational(value: ParamLike) -> Optional[Fraction]:
         if not math.isfinite(value):
             return None
         cand = Fraction(value).limit_denominator(_SNAP_MAX_DEN)
-        if cand != 0 and abs(float(cand) - value) <= _SNAP_REL_TOL * abs(value):
-            return cand
-        return None
+        return cand if cand != 0 and _rounds_to(cand, value) else None
     return None
+
+
+def _rounds_to(q: Fraction, x: float) -> bool:
+    """Does q round to x, or lie within _SNAP_REL_TOL of it as a snapped float does?"""
+    try:
+        y = float(q)
+    except OverflowError:                           # q past the float range
+        return False
+    return y == x or abs(y - x) <= _SNAP_REL_TOL * abs(x)
 
 
 def _as_param(value: ParamLike, name: str) -> tuple[float, Optional[Fraction]]:
@@ -119,9 +126,9 @@ def _read_only(self, name: str, value=None):
 class DistributionSpec:
     """One factor: a tagged family with strictly positive parameters.
 
-    ``beta_exact`` keeps the shape exponent as an exact rational when the
-    input allows it; the decision engine uses it for sharp threshold
-    arithmetic.  All numerics use the float fields.
+    ``beta_exact`` keeps the shape exponent of GG and DGG as an exact rational
+    that rounds to ``beta``, when the input allows it; the decision engine uses
+    it for sharp threshold arithmetic.  All numerics use the float fields.
 
     An immutable record: a field cannot be assigned, ``_replace`` returns a
     changed copy, and ``beta_exact`` takes no part in ``==`` or ``hash``.
@@ -139,6 +146,10 @@ class DistributionSpec:
         for name, v in zip(("alpha", "beta", "gamma", "mu", "lam"), params):
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+        if beta_exact is not None and not (family != IG and isinstance(beta_exact, Fraction)
+                                           and beta_exact.numerator > 0 and _rounds_to(beta_exact, beta)):
+            raise ValueError(f"beta_exact must be None on IG, else a positive Fraction that "
+                             f"rounds to beta = {beta!r}, got {beta_exact!r}")
         for name, v in zip(self.__slots__, (family, *params, beta_exact)):
             object.__setattr__(self, name, v)
 

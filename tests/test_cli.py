@@ -478,6 +478,17 @@ class TestCriterion:
         rep = criteria.condition_L_check(dist.gg(1, 5, 1), x0=1e100)
         assert rep.status == criteria.HOLDS
 
+    @pytest.mark.parametrize("factor", [
+        {"family": "GG", "alpha": 1e300, "beta": 5, "gamma": 1},
+        {"family": "IG", "mu": 1e-160, "lambda": 1e300}])
+    def test_lin_past_the_float_range_is_monotone_without_nan(self, tmp_path, factor):
+        # L passes the float range on [1, 1e4]: no sample reads as a fall and
+        # no inf - inf as the climb
+        code, out = run_cli("criterion", "lin", write_spec(tmp_path, {"factors": [factor]}))
+        ev = json.loads(out)["evidence"]
+        assert code == cli.EXIT_HOLDS and ev["monotone"] is True and ev["climb"] == "inf"
+        assert '"nan"' not in out
+
     def test_krein_on_normal_fails_exit(self, tmp_path):
         spec = write_spec(tmp_path, {"factors": [{"family": "normal"}]})
         code, out = run_cli("criterion", "krein", spec)
@@ -750,14 +761,14 @@ def bound(name, *modules):
 # the child gets the golden verify spec and report as its arguments
 FIRST_NUMPY_CASES = {
     # the calls bind NumPy and scipy.special in distributions and criteria, a
-    # verify run binds NumPy in verify and cli, and its quadrature binds
+    # verify run binds NumPy in verify, and its quadrature binds
     # scipy.integrate and scipy.optimize in verify
     "fresh": ("", """
 assert "numpy" not in sys.modules
 print(calls())
 with contextlib.redirect_stdout(io.StringIO()) as report:
     cli.main(["verify", sys.argv[1]])
-print(report.getvalue() == open(sys.argv[2]).read(), bound("np", dist, crit, ver, cli),
+print(report.getvalue() == open(sys.argv[2]).read(), bound("np", dist, crit, ver),
       bound("special", dist, crit), bound("integrate", ver), bound("optimize", ver))
 """, "{calls}\nTrue True True True True"),
     # a NumPy imported before momentdet is the one bound

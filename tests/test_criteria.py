@@ -62,6 +62,14 @@ class TestLogMomentSequence:
         assert seq_of(dist.exponential()).parity == "all"
         assert seq_of(dist.std_normal()).parity == "even"
 
+    def test_non_integer_orders_are_refused(self):
+        # 3.7 is no order; cast to int it would read as order 3
+        for orders in ([1.0, 2.0, 3.7], [1.0, 2.0, math.nan], [1.0, 2.0, math.inf]):
+            with pytest.raises(ValueError, match="^all-parity orders must be the consecutive"):
+                cr.LogMomentSequence(orders=orders, values=np.zeros(3), parity="all")
+        s = cr.LogMomentSequence(orders=[1.0, 2.0, 3.0], values=np.zeros(3), parity="all")
+        assert s.orders.tolist() == [1, 2, 3]
+
     def test_compose_is_additive(self):
         e = seq_of(dist.exponential())
         g = seq_of(dist.gg(1, 2, 1))
@@ -394,7 +402,7 @@ class TestConditionL:
 
     def test_bounded_heavy_tail_fails(self):
         heavy = lambda x: np.log(4.0) - 5.0 * np.log1p(x)
-        rep = cr.condition_L_check(heavy, symmetric=False)
+        rep = cr.condition_L_check(heavy)
         assert rep.status == cr.FAILS
 
     def test_ig_holds(self):
@@ -407,8 +415,7 @@ class TestConditionL:
     def test_numeric_fallback_matches_closed_form(self):
         d = dist.gg(2, 3, 5)
         rep_closed = cr.condition_L_check(d)
-        rep_numeric = cr.condition_L_check(lambda x: dist.log_density(d, x),
-                                           symmetric=False)
+        rep_numeric = cr.condition_L_check(lambda x: dist.log_density(d, x))
         assert rep_numeric.status == rep_closed.status == cr.HOLDS
         assert rep_numeric.evidence["L_last"] == pytest.approx(
             rep_closed.evidence["L_last"], rel=1e-4)
@@ -417,3 +424,38 @@ class TestConditionL:
         cd = ver.build_counterexample("stieltjes", 2.0)
         rep = cr.condition_L_check(cd, x0=10.0)
         assert rep.status == cr.HOLDS
+
+    def test_line_witness_is_symmetric(self):
+        # symmetry comes from the witness's support class
+        rep = cr.condition_L_check(ver.build_counterexample("hamburger", 2.0), x0=10.0)
+        assert rep.evidence["symmetric"] is True and rep.evidence["density"] == "numeric"
+
+    def test_spec_takes_L_at_two_points_and_its_exact_power(self, monkeypatch):
+        # a spec samples nothing: L at x0 and 1e4 x0, the power in closed form
+        calls = []
+
+        def counted(d, x):
+            calls.append(x)
+            return dist.lin_L(d, x)
+
+        monkeypatch.setattr(cr, "lin_L", counted)
+        for d, power in ((dist.gg(1, "2/3", 1), 2 / 3), (dist.dgg(1, 2, 1), 2.0),
+                         (dist.ig(1, 1), 1.0)):
+            calls.clear()
+            rep = cr.condition_L_check(d, x0=2.0)
+            assert calls == [2.0 * 1.0000001, 2.0 * 1e4], str(d)
+            ev = rep.evidence
+            assert (ev["power_slope"], ev["monotone"], rep.status) == (power, True, cr.HOLDS)
+            assert (ev["L_first"], ev["L_last"]) == tuple(dist.lin_L(d, x) for x in calls)
+
+    def test_spec_past_the_float_range_is_monotone_without_nan(self):
+        # L = 1 + 5 x^5 is inf at 1e100: the climb is inf, never inf - inf
+        rep = cr.condition_L_check(dist.gg(1, 5, 1), x0=1e100)
+        ev = rep.evidence
+        assert ev["monotone"] is True and ev["climb"] == ev["L_last"] == math.inf
+        assert not any(isinstance(v, float) and math.isnan(v) for v in ev.values())
+
+    @pytest.mark.parametrize("x0", [0.0, -1.0, math.inf, math.nan])
+    def test_unusable_start_is_named(self, x0):
+        with pytest.raises(ValueError, match="^x0 must be finite and positive"):
+            cr.condition_L_check(dist.exponential(), x0=x0)

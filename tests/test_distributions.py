@@ -145,6 +145,30 @@ class TestRecords:
         with pytest.raises(TypeError):
             d._replace(lambda_=1.0)
 
+    # a decision compares beta_exact in place of beta, so one that does not
+    # round to beta decides another factor
+    STALE_BETA_EXACT = {
+        # exponent sum 2.5 above the threshold 2, yet the exact sum 2 decides M-det
+        "replaced_beta": lambda: dist.gg(1, "1/2", 1)._replace(beta=0.4),
+        # exponent sum 2.0 at the threshold 2.0, yet the exact sum 3 decides M-indet
+        "other_rational": lambda: dist.DistributionSpec("GG", beta=0.5, beta_exact=Fraction(1, 3)),
+        # a float has no denominator for the exact sum
+        "float": lambda: dist.DistributionSpec("GG", beta=0.5, beta_exact=0.5),
+        "negative": lambda: dist.DistributionSpec("GG", beta=0.5, beta_exact=Fraction(-1, 2)),
+        "on_ig": lambda: dist.DistributionSpec("IG", beta_exact=Fraction(1)),
+    }
+
+    @pytest.mark.parametrize("case", STALE_BETA_EXACT)
+    def test_beta_exact_must_round_to_beta(self, case):
+        with pytest.raises(ValueError, match="^beta_exact must be None on IG, else a positive"):
+            self.STALE_BETA_EXACT[case]()
+
+    def test_beta_exact_kept_where_it_rounds_to_beta(self):
+        assert dist.gg(1, 0.333333333333, 1).beta_exact == Fraction(1, 3)
+        assert dist.gg(1, "1/1001", 1).beta_exact == Fraction(1, 1001)
+        # a subnormal beta is the rounded rational, outside the relative tolerance
+        assert dist.dgg(1, "1e-320", 1).beta_exact == Fraction(1, 10 ** 320)
+
     def test_product_spec_keeps_len_repr_and_hash(self):
         f = (dist.ig(1, 2), dist.exponential())
         p = dist.ProductSpec(iter(f))
